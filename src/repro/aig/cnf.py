@@ -5,6 +5,18 @@ instance, so several cones (and several checks) share a clause database —
 the exact workflow the paper built on top of ZChaff: "we load the clause
 database once and for-all, and we factorize several checks together within
 a single ZChaff run".
+
+Encoding is incremental and pruned: a query walks the fanin cone only down
+to nodes some earlier query already encoded.  The encoded set is
+fanin-closed, so the post-order of the new nodes is exactly the one a full
+:meth:`Aig.cone` walk gives — variable numbering and clause order do not
+depend on what was encoded before, only on which nodes were.  A query on
+a long-lived mapper therefore costs the new nodes only, and reading a
+model costs the encoded inputs only.
+
+The clause sink is anything with ``new_var``/``add_clause``: a
+:class:`~repro.sat.solver.Solver` for incremental checks, or a
+:class:`~repro.sat.cnf.CNF` for the standalone :func:`edge_to_cnf`.
 """
 
 from __future__ import annotations
@@ -27,10 +39,12 @@ class CnfMapper:
     <SolveResult.SAT: 'sat'>
     """
 
-    def __init__(self, aig: Aig, solver: Solver | None = None) -> None:
+    def __init__(self, aig: Aig, solver: Solver | CNF | None = None) -> None:
         self.aig = aig
         self.solver = solver if solver is not None else Solver()
         self._node_var: dict[int, int] = {}
+        # The encoded inputs, in encoding order (a subset of _node_var).
+        self._input_var: dict[int, int] = {}
         self._const_var: int | None = None
 
     def _var_for_const(self) -> int:
@@ -41,32 +55,45 @@ class CnfMapper:
 
     def var_for_node(self, node: int) -> int:
         """The solver variable carrying this node's value (encode if new)."""
-        existing = self._node_var.get(node)
+        node_var = self._node_var
+        existing = node_var.get(node)
         if existing is not None:
             return existing
         if node == 0:
             return self._var_for_const()
-        if self.aig.is_input(node):
-            var = self.solver.new_var()
-            self._node_var[node] = var
-            return var
-        # Encode the whole cone iteratively (recursion-free for deep AIGs).
-        for cone_node in self.aig.cone([2 * node]):
-            if cone_node in self._node_var:
+        aig = self.aig
+        solver = self.solver
+        # Iterative post-order DFS (recursion-free for deep AIGs), cut at
+        # already-encoded nodes; same visiting order as Aig.cone.
+        seen: set[int] = set()
+        stack: list[tuple[int, bool]] = [(node, False)]
+        while stack:
+            current, expanded = stack.pop()
+            if not expanded:
+                if current in seen or current in node_var or current == 0:
+                    continue
+                seen.add(current)
+                stack.append((current, True))
+                if aig.is_and(current):
+                    f0, f1 = aig.fanins(current)
+                    stack.append((f0 >> 1, False))
+                    stack.append((f1 >> 1, False))
                 continue
-            if self.aig.is_input(cone_node):
-                self._node_var[cone_node] = self.solver.new_var()
+            if aig.is_input(current):
+                var = solver.new_var()
+                node_var[current] = var
+                self._input_var[current] = var
                 continue
-            f0, f1 = self.aig.fanins(cone_node)
+            f0, f1 = aig.fanins(current)
             a = self._edge_lit_encoded(f0)
             b = self._edge_lit_encoded(f1)
-            out = self.solver.new_var()
-            self._node_var[cone_node] = out
+            out = solver.new_var()
+            node_var[current] = out
             # out <-> a AND b
-            self.solver.add_clause([-out, a])
-            self.solver.add_clause([-out, b])
-            self.solver.add_clause([out, -a, -b])
-        return self._node_var[node]
+            solver.add_clause([-out, a])
+            solver.add_clause([-out, b])
+            solver.add_clause([out, -a, -b])
+        return node_var[node]
 
     def _edge_lit_encoded(self, edge: int) -> int:
         node = edge >> 1
@@ -97,50 +124,28 @@ class CnfMapper:
         return self.var_for_node(input_node)
 
     def model_inputs(self) -> dict[int, bool]:
-        """Read back input values from the solver's last model."""
-        values: dict[int, bool] = {}
-        for node, var in self._node_var.items():
-            if self.aig.is_input(node) and var <= len(self.solver.model):
-                values[node] = self.solver.value(var)
-        return values
+        """Read back input values from the solver's last model.
+
+        Inputs encoded after the last solve are absent.
+        """
+        if not self._input_var:
+            return {}
+        model = self.solver.model
+        size = len(model)
+        return {
+            node: model[var - 1]
+            for node, var in self._input_var.items()
+            if var <= size
+        }
 
 
 def edge_to_cnf(aig: Aig, edge: int) -> tuple[CNF, int, dict[int, int]]:
     """Standalone Tseitin encoding of one edge.
 
     Returns ``(cnf, root_literal, input_node_to_var)``.  Asserting
-    ``root_literal`` makes the CNF equisatisfiable with the edge function.
+    ``root_literal`` makes the CNF equisatisfiable with the edge function;
+    the FALSE edge maps to a pinned-false (unsatisfiable) literal.
     """
-    cnf = CNF()
-    node_var: dict[int, int] = {}
-    const_var: int | None = None
-
-    def const() -> int:
-        nonlocal const_var
-        if const_var is None:
-            const_var = cnf.new_var()
-            cnf.add_clause([-const_var])
-        return const_var
-
-    def lit_of(e: int) -> int:
-        node = e >> 1
-        var = const() if node == 0 else node_var[node]
-        return -var if e & 1 else var
-
-    for node in aig.cone([edge]):
-        if aig.is_input(node):
-            node_var[node] = cnf.new_var()
-            continue
-        f0, f1 = aig.fanins(node)
-        a, b = lit_of(f0), lit_of(f1)
-        out = cnf.new_var()
-        node_var[node] = out
-        cnf.add_clause([-out, a])
-        cnf.add_clause([-out, b])
-        cnf.add_clause([out, -a, -b])
-    inputs = {node: var for node, var in node_var.items() if aig.is_input(node)}
-    if edge == FALSE:
-        return cnf, const(), inputs   # pinned-false literal: asserting it is UNSAT
-    if edge == TRUE:
-        return cnf, -const(), inputs
-    return cnf, lit_of(edge), inputs
+    mapper = CnfMapper(aig, CNF())
+    root = mapper.lit_for(edge)
+    return mapper.solver, root, dict(mapper._input_var)

@@ -12,6 +12,16 @@ The engine keeps a private clone of the netlist, computes pre-images by
 in-lining + circuit-based input quantification (or all-SAT / the hybrid
 partial+all-SAT combination of Section 4), checks frontier emptiness and
 init intersection with SAT, and periodically compacts its manager.
+
+All SAT checks on one working model — frontier emptiness, init
+intersection and the violating inputs of a counterexample — share one
+persistent :class:`~repro.aig.cnf.CnfMapper`, so each check encodes only
+the nodes no earlier check reached ("we load the clause database once and
+for-all").  Compaction renumbers every node, so it drops that mapper and
+the next check starts a fresh one on the new working copy.  The checks
+pass their query as an assumption and never add permanent clauses other
+than Tseitin definitions; all-SAT pre-images, whose blocking clauses would
+poison later checks, keep their own solver.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.preimage_sat import allsat_quantify
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.trace import concretize_suffix, find_violation_inputs
-from repro.sat.solver import SolveResult, Solver
+from repro.sat.solver import SolveResult
 from repro.util.stats import StatsBag
 
 
@@ -79,16 +89,23 @@ class BackwardReachability:
             new: old for old, new in node_map.items()
         }
         self.stats = StatsBag()
+        self._cnf: CnfMapper | None = None
 
     # ------------------------------------------------------------------ #
     # SAT helpers on the working model
     # ------------------------------------------------------------------ #
 
+    def _mapper(self) -> CnfMapper:
+        """The persistent SAT context of the current working model."""
+        if self._cnf is None:
+            self._cnf = CnfMapper(self.model.aig)
+        return self._cnf
+
     def _satisfiable(self, edge: int) -> dict[int, bool] | None:
         """SAT model of an edge over the working model, or None."""
         if edge == FALSE:
             return None
-        mapper = CnfMapper(self.model.aig, Solver())
+        mapper = self._mapper()
         lit = mapper.lit_for(edge)
         if mapper.solver.solve([lit]) is not SolveResult.SAT:
             return None
@@ -183,8 +200,9 @@ class BackwardReachability:
             iteration += 1
             preimage = self._preimage(frontier)
             new_frontier = aig.and_(preimage, edge_not(reached))
-            self.stats.set(f"frontier_size_{iteration}", cone_size(aig, new_frontier))
-            self.stats.max("peak_frontier_size", cone_size(aig, new_frontier))
+            frontier_size = cone_size(aig, new_frontier)
+            self.stats.set(f"frontier_size_{iteration}", frontier_size)
+            self.stats.max("peak_frontier_size", frontier_size)
             self.stats.max("peak_reached_size", cone_size(aig, reached))
             witness = self._satisfiable(new_frontier)
             if witness is None:
@@ -238,7 +256,9 @@ class BackwardReachability:
             self.model, start_state, layers
         )
         states.extend(suffix_states)
-        violation = find_violation_inputs(self.model, states[-1])
+        violation = find_violation_inputs(
+            self.model, states[-1], self._mapper()
+        )
         trace = Trace(
             states=[self._map_state(s) for s in states],
             inputs=[self._map_inputs(i) for i in inputs],
@@ -288,6 +308,7 @@ class BackwardReachability:
             )
         new_model, moved, node_map = self.model.clone(extras)
         self.model = new_model
+        self._cnf = None        # node ids changed: the old encoding is stale
         # Chain the original-node mapping through the new clone.
         self._to_original = {
             new: self._to_original.get(old, old)

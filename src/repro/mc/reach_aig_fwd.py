@@ -17,6 +17,10 @@ and the backward one quantify exactly that asymmetry.
 Counterexample traces are rebuilt by walking the stored onion rings
 backwards: for each concrete state in ring ``k`` a SAT call finds a ring
 ``k-1`` predecessor and the driving inputs.
+
+The manager is never compacted, so every SAT query of a run — frontier
+emptiness, violation and predecessor checks — goes through one persistent
+:class:`~repro.aig.cnf.CnfMapper` and encodes only nodes new to it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.trace import find_violation_inputs
-from repro.sat.solver import SolveResult, Solver
+from repro.sat.solver import SolveResult
 from repro.util.stats import StatsBag
 
 
@@ -65,6 +69,7 @@ class ForwardReachability:
         self._to_original = {new: old for old, new in node_map.items()}
         self.stats = StatsBag()
         self._images = ImageComputer(self.model, self.options.quantify)
+        self._cnf = CnfMapper(self.model.aig)
 
     # ------------------------------------------------------------------ #
     # SAT helpers
@@ -85,7 +90,7 @@ class ForwardReachability:
     def _satisfiable_state(self, edge: int) -> dict[int, bool] | None:
         if edge == FALSE:
             return None
-        mapper = CnfMapper(self.model.aig, Solver())
+        mapper = self._cnf
         lit = mapper.lit_for(edge)
         if mapper.solver.solve([lit]) is not SolveResult.SAT:
             return None
@@ -107,7 +112,7 @@ class ForwardReachability:
                 constraint,
                 next_edge if want else edge_not(next_edge),
             )
-        mapper = CnfMapper(aig, Solver())
+        mapper = self._cnf
         lit = mapper.lit_for(constraint)
         if mapper.solver.solve([lit]) is not SolveResult.SAT:
             raise ModelCheckingError(
@@ -142,12 +147,9 @@ class ForwardReachability:
             image = self._images.postimage(frontier)
             self.stats.merge(image.stats)
             new_frontier = aig.and_(image.edge, edge_not(reached))
-            self.stats.set(
-                f"frontier_size_{iteration}", cone_size(aig, new_frontier)
-            )
-            self.stats.max(
-                "peak_frontier_size", cone_size(aig, new_frontier)
-            )
+            frontier_size = cone_size(aig, new_frontier)
+            self.stats.set(f"frontier_size_{iteration}", frontier_size)
+            self.stats.max("peak_frontier_size", frontier_size)
             if self._satisfiable_state(new_frontier) is None:
                 self.stats.set("iterations", iteration)
                 return VerificationResult(
@@ -189,7 +191,7 @@ class ForwardReachability:
             )
             states.insert(0, predecessor)
             inputs.insert(0, step_inputs)
-        violation = find_violation_inputs(self.model, states[-1])
+        violation = find_violation_inputs(self.model, states[-1], self._cnf)
         trace = Trace(
             states=[self._map_assignment(s) for s in states],
             inputs=[self._map_assignment(i) for i in inputs],

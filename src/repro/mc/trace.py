@@ -4,7 +4,12 @@ Backward reachability and pre-image folding both end with an initial (or
 unrolled) state known to lie in ``pre^j(bad)``: the concrete input choices
 of the remaining ``j`` steps still have to be found.  Each step is a small
 SAT problem — fix the current state, ask for inputs steering into the next
-distance layer — solved over a throwaway solver.
+distance layer.  The state and the query are assumptions, so the steps of
+one walk share one :class:`~repro.aig.cnf.CnfMapper` and each step encodes
+only the part of its shifted layer the earlier steps did not.  A caller
+holding a mapper on the netlist's manager can pass it to
+:func:`step_into` and :func:`find_violation_inputs`; the reachability
+engines pass their own to the latter.
 """
 
 from __future__ import annotations
@@ -13,25 +18,29 @@ from repro.aig.cnf import CnfMapper
 from repro.circuits.netlist import Netlist
 from repro.core.substitution import preimage_by_substitution
 from repro.errors import ModelCheckingError
-from repro.sat.solver import SolveResult, Solver
+from repro.sat.solver import SolveResult
 
 
 def step_into(
     netlist: Netlist,
     state: dict[int, bool],
     target_edge: int,
+    mapper: CnfMapper | None = None,
 ) -> tuple[dict[int, bool], dict[int, bool]]:
     """Find inputs taking ``state`` into ``target_edge`` in one step.
 
     Returns ``(inputs, next_state)``.  Raises if no such input exists —
     callers only invoke this when membership in the pre-image is known.
+    ``mapper`` (over ``netlist.aig``) is reused if given; only assumptions
+    are added to it.
     """
     aig = netlist.aig
     # target(delta(s, i)) with s fixed must be satisfiable over i, under
     # the environment constraints.
     shifted = preimage_by_substitution(aig, target_edge, netlist.next_functions())
     shifted = aig.and_(shifted, netlist.constraint_edge())
-    mapper = CnfMapper(aig, Solver())
+    if mapper is None:
+        mapper = CnfMapper(aig)
     lit = mapper.lit_for(shifted)
     assumptions = [lit]
     for node, value in state.items():
@@ -53,14 +62,17 @@ def step_into(
 def find_violation_inputs(
     netlist: Netlist,
     state: dict[int, bool],
+    mapper: CnfMapper | None = None,
 ) -> dict[int, bool] | None:
     """Inputs making the property fail *in* ``state`` (None if impossible).
 
     Needed when the property reads primary inputs: a state can only be
     called bad together with an input vector witnessing the violation.
+    ``mapper`` (over ``netlist.aig``) is reused if given.
     """
     aig = netlist.aig
-    mapper = CnfMapper(aig, Solver())
+    if mapper is None:
+        mapper = CnfMapper(aig)
     lit = mapper.lit_for(
         aig.and_(netlist.property_edge ^ 1, netlist.constraint_edge())
     )
@@ -88,8 +100,11 @@ def concretize_suffix(
     states: list[dict[int, bool]] = []
     inputs: list[dict[int, bool]] = []
     current = dict(state)
+    mapper = CnfMapper(netlist.aig)
     for layer in range(len(targets) - 2, -1, -1):
-        step_inputs, current = step_into(netlist, current, targets[layer])
+        step_inputs, current = step_into(
+            netlist, current, targets[layer], mapper
+        )
         inputs.append(step_inputs)
         states.append(dict(current))
     return states, inputs
