@@ -14,6 +14,14 @@ depend on what was encoded before, only on which nodes were.  A query on
 a long-lived mapper therefore costs the new nodes only, and reading a
 model costs the encoded inputs only.
 
+A mapper built with ``bound`` inputs (node -> existing variable) encodes
+over exactly those leaves and rejects any other input.  That is how the
+time-frame expansion of :mod:`repro.mc.unroll` works — one bound mapper
+per frame over the shared solver, its latches and inputs bound to that
+frame's variables — and how :func:`repro.itp.interpolant.verify_interpolant`
+encodes an interpolant over the shared variables of a partition, so this
+module holds the only Tseitin encoder of AND gates.
+
 The clause sink is anything with ``new_var``/``add_clause``: a
 :class:`~repro.sat.solver.Solver` for incremental checks, or a
 :class:`~repro.sat.cnf.CNF` for the standalone :func:`edge_to_cnf`.
@@ -21,7 +29,7 @@ The clause sink is anything with ``new_var``/``add_clause``: a
 
 from __future__ import annotations
 
-from repro.aig.graph import FALSE, TRUE, Aig
+from repro.aig.graph import Aig
 from repro.errors import AigError
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
@@ -39,11 +47,20 @@ class CnfMapper:
     <SolveResult.SAT: 'sat'>
     """
 
-    def __init__(self, aig: Aig, solver: Solver | CNF | None = None) -> None:
+    def __init__(
+        self,
+        aig: Aig,
+        solver: Solver | CNF | None = None,
+        bound: dict[int, int] | None = None,
+    ) -> None:
         self.aig = aig
         self.solver = solver if solver is not None else Solver()
-        self._node_var: dict[int, int] = {}
-        # The encoded inputs, in encoding order (a subset of _node_var).
+        # ``bound`` (node -> var) fixes the leaves up front; reaching any
+        # other input is then an error instead of a fresh variable.
+        self._node_var: dict[int, int] = dict(bound) if bound else {}
+        self._bound = bound is not None
+        # The inputs this mapper allocated, in encoding order (a subset
+        # of _node_var; bound leaves belong to the caller).
         self._input_var: dict[int, int] = {}
         self._const_var: int | None = None
 
@@ -80,6 +97,8 @@ class CnfMapper:
                     stack.append((f1 >> 1, False))
                 continue
             if aig.is_input(current):
+                if self._bound:
+                    raise AigError(f"input node {current} is not bound")
                 var = solver.new_var()
                 node_var[current] = var
                 self._input_var[current] = var
@@ -108,13 +127,12 @@ class CnfMapper:
 
         The constant node is backed by a variable pinned to false, so the
         FALSE edge maps to that (unsatisfiable) literal and TRUE to its
-        negation.
+        negation.  An edge outside the AIG raises :class:`AigError`.
         """
-        if edge == FALSE:
-            return self._var_for_const()
-        if edge == TRUE:
-            return -self._var_for_const()
-        var = self.var_for_node(edge >> 1)
+        var = self._node_var.get(edge >> 1)
+        if var is None:
+            self.aig._check_edge(edge)
+            var = self.var_for_node(edge >> 1)
         return -var if edge & 1 else var
 
     def input_literal(self, input_node: int) -> int:

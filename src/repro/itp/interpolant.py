@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import or_, support
 from repro.errors import ProofError
@@ -89,39 +90,6 @@ def _or_shared(aig: Aig, literals, b_vars, lit_edge) -> int:
     return result
 
 
-def _encode_edge(
-    cnf: CNF, aig: Aig, edge: int, node_var: dict[int, int]
-) -> int:
-    """Tseitin-encode ``edge`` into ``cnf``; returns its literal.
-
-    ``node_var`` maps the cone's input nodes to existing CNF variables
-    (gate nodes get fresh ones and are added to the map, so several
-    encodings over one CNF share clauses).
-    """
-    if edge in (TRUE, FALSE):
-        pinned = cnf.new_var()
-        cnf.add_clause([pinned if edge == TRUE else -pinned])
-        return pinned
-    for node in aig.cone([edge]):
-        if node in node_var:
-            continue
-        if aig.is_input(node):
-            raise ProofError(
-                f"interpolant depends on node {node}, which has no "
-                f"CNF variable in the checked partition"
-            )
-        f0, f1 = aig.fanins(node)
-        a = node_var[f0 >> 1] * (-1 if f0 & 1 else 1)
-        b = node_var[f1 >> 1] * (-1 if f1 & 1 else 1)
-        out = cnf.new_var()
-        node_var[node] = out
-        cnf.add_clause([-out, a])
-        cnf.add_clause([-out, b])
-        cnf.add_clause([out, -a, -b])
-    lit = node_var[edge >> 1]
-    return -lit if edge & 1 else lit
-
-
 def verify_interpolant(
     aig: Aig,
     itp_edge: int,
@@ -168,18 +136,16 @@ def verify_interpolant(
             return not DpllSolver(cnf).solve()
         return Solver(cnf).solve() is SolveResult.UNSAT
 
-    check_a = cnf_a.copy()
-    for unit in pinned:
-        check_a.add_clause([unit])
-    lit = _encode_edge(check_a, aig, itp_edge, dict(node_var))
-    check_a.add_clause([-lit])
-    if not unsatisfiable(check_a):
+    def with_interpolant(cnf: CNF, negate: bool) -> CNF:
+        check = cnf.copy()
+        for unit in pinned:
+            check.add_clause([unit])
+        lit = CnfMapper(aig, check, node_var).lit_for(itp_edge)
+        check.add_clause([-lit if negate else lit])
+        return check
+
+    if not unsatisfiable(with_interpolant(cnf_a, negate=True)):
         raise ProofError("A does not imply the interpolant")
-    check_b = cnf_b.copy()
-    for unit in pinned:
-        check_b.add_clause([unit])
-    lit = _encode_edge(check_b, aig, itp_edge, dict(node_var))
-    check_b.add_clause([lit])
-    if not unsatisfiable(check_b):
+    if not unsatisfiable(with_interpolant(cnf_b, negate=False)):
         raise ProofError("the interpolant does not contradict B")
     return True

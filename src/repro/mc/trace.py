@@ -9,16 +9,20 @@ one walk share one :class:`~repro.aig.cnf.CnfMapper` and each step encodes
 only the part of its shifted layer the earlier steps did not.  A caller
 holding a mapper on the netlist's manager can pass it to
 :func:`step_into` and :func:`find_violation_inputs`; the reachability
-engines pass their own to the latter.
+engines pass their own to the latter.  :func:`initial_violation` is the
+depth-0 check of the PDR and interpolation engines.
 """
 
 from __future__ import annotations
 
 from repro.aig.cnf import CnfMapper
+from repro.aig.graph import FALSE, edge_not
 from repro.circuits.netlist import Netlist
 from repro.core.substitution import preimage_by_substitution
 from repro.errors import ModelCheckingError
+from repro.mc.result import Trace
 from repro.sat.solver import SolveResult
+from repro.util.stats import StatsBag
 
 
 def step_into(
@@ -86,6 +90,30 @@ def find_violation_inputs(
     return {node: model.get(node, False) for node in netlist.input_nodes}
 
 
+def initial_violation(netlist: Netlist, stats: StatsBag) -> Trace | None:
+    """Depth 0: a one-state trace if an initial state violates the property.
+
+    One SAT call (counted in ``stats["sat_calls"]``) unless the initial,
+    constrained bad states are structurally empty.
+    """
+    aig = netlist.aig
+    bad0 = aig.and_(
+        netlist.init_state_edge(),
+        aig.and_(netlist.constraint_edge(), edge_not(netlist.property_edge)),
+    )
+    if bad0 == FALSE:
+        return None
+    mapper = CnfMapper(aig)
+    stats.incr("sat_calls")
+    if mapper.solver.solve([mapper.lit_for(bad0)]) is not SolveResult.SAT:
+        return None
+    state = netlist.init_assignment()
+    return Trace(
+        states=[state], inputs=[],
+        violation_inputs=find_violation_inputs(netlist, state),
+    )
+
+
 def concretize_suffix(
     netlist: Netlist,
     state: dict[int, bool],
@@ -114,7 +142,7 @@ def trace_from_layers(
     netlist: Netlist,
     initial_state: dict[int, bool],
     layers: list[int],
-) -> "Trace":
+) -> Trace:
     """Build a full trace from backward-reachability distance layers.
 
     ``layers[k]`` holds states at backward distance k from the bad states
@@ -122,7 +150,6 @@ def trace_from_layers(
     deepest (largest-k) layer containing it is located and walked down.
     """
     from repro.aig.simulate import eval_edge
-    from repro.mc.result import Trace
 
     aig = netlist.aig
     member_layers = [

@@ -1,17 +1,19 @@
 """Time-frame expansion of a netlist into one incremental SAT instance.
 
-Used by BMC and k-induction.  Each frame gets fresh solver variables for
-inputs and latches; the combinational logic is Tseitin-encoded per frame
-into the *same* solver, so deeper checks reuse everything learned on the
-shallow ones.
+Used by BMC, k-induction, PDR, interpolation and the PDR certificate
+check.  Each frame is a :class:`~repro.aig.cnf.CnfMapper` over the shared
+solver with fresh variables bound to that frame's latches and inputs;
+the combinational logic is Tseitin-encoded per frame by the mapper into
+the *same* solver, so deeper checks reuse everything learned on the
+shallow ones.  All frames share one lazily created constant variable.
 """
 
 from __future__ import annotations
 
+from repro.aig.cnf import CnfMapper
 from repro.aig.graph import Aig
-from repro.aig.simulate import cone_plan
 from repro.circuits.netlist import Netlist
-from repro.errors import ModelCheckingError
+from repro.errors import AigError, ModelCheckingError
 from repro.sat.solver import Solver
 
 
@@ -29,8 +31,8 @@ class Unroller:
         self.aig: Aig = netlist.aig
         self.solver = solver if solver is not None else Solver()
         self._next_functions = netlist.next_functions()
-        # Per-frame: node -> solver literal for latch and input nodes.
-        self._frames: list[dict[int, int]] = []
+        # Per-frame mappers, their latches and inputs bound.
+        self._frames: list[CnfMapper] = []
         self._const_var: int | None = None
         # Interpolation partitions clauses by *when* they are added, so
         # the itp engine needs to place each frame's environment
@@ -52,11 +54,10 @@ class Unroller:
             self.solver.add_clause([-self._const_var])
         return self._const_var
 
-    def _new_frame(self) -> dict[int, int]:
-        frame: dict[int, int] = {}
-        for node in self.netlist.latch_nodes + self.netlist.input_nodes:
-            frame[node] = self.solver.new_var()
-        return frame
+    def _new_frame(self) -> CnfMapper:
+        leaves = self.netlist.latch_nodes + self.netlist.input_nodes
+        bound = {node: self.solver.new_var() for node in leaves}
+        return CnfMapper(self.aig, self.solver, bound)
 
     def ensure_frames(self, count: int) -> None:
         """Encode frames until at least ``count`` exist (frame 0 included).
@@ -79,18 +80,18 @@ class Unroller:
             # function evaluated over the previous frame.
             for latch_node, next_edge in self._next_functions.items():
                 next_lit = self.edge_lit_in(previous, next_edge)
-                latch_lit = frame[latch_node]
+                latch_lit = frame.var_for_node(latch_node)
                 self.solver.add_clause([-latch_lit, next_lit])
                 self.solver.add_clause([latch_lit, -next_lit])
             self._frames.append(frame)
             self._assert_constraints(frame)
 
-    def _assert_constraints(self, frame: dict[int, int]) -> None:
+    def _assert_constraints(self, frame: CnfMapper) -> None:
         if not self._auto_constraints:
             return
         self._constrain(frame)
 
-    def _constrain(self, frame: dict[int, int]) -> None:
+    def _constrain(self, frame: CnfMapper) -> None:
         for edge in self.netlist.constraints:
             self.solver.add_clause([self.edge_lit_in(frame, edge)])
 
@@ -108,7 +109,8 @@ class Unroller:
         """The solver variable pinned FALSE for constant edges (if any)."""
         return self._const_var
 
-    def frame(self, index: int) -> dict[int, int]:
+    def frame(self, index: int) -> CnfMapper:
+        """The mapper of one frame (encoding frames up to it)."""
         self.ensure_frames(index + 1)
         return self._frames[index]
 
@@ -116,61 +118,25 @@ class Unroller:
     # Edge encoding inside a frame
     # ------------------------------------------------------------------ #
 
-    def edge_lit_in(self, frame: dict[int, int], edge: int) -> int:
+    def edge_lit_in(self, frame: CnfMapper, edge: int) -> int:
         """Tseitin-encode an AIG edge over one frame's leaf variables.
 
-        Gate encodings are cached inside the frame map (keyed by AND node),
-        so repeated calls share clauses.
+        Gate encodings are cached in the frame's mapper, so repeated
+        calls share clauses.
         """
-        node = edge >> 1
-        if node == 0:
-            base = self._false_lit()
-            return -base if edge & 1 else base
-        if node not in frame and not self.aig.is_and(node):
+        if edge >> 1 == 0:
+            var = self._false_lit()
+            return -var if edge & 1 else var
+        try:
+            return frame.lit_for(edge)
+        except AigError as error:
             raise ModelCheckingError(
-                f"node {node} is not part of this netlist's interface"
-            )
-        # The cached cone plan replays the same topological order as a
-        # fresh Aig.cone walk, so clause emission order (and therefore
-        # the solver trajectory) is unchanged — only the walk is saved.
-        plan = cone_plan(self.aig, (2 * node,))
-        for _, cone_node in plan.inputs:
-            if cone_node not in frame:
-                raise ModelCheckingError(
-                    f"input node {cone_node} missing from frame"
-                )
-        for dst, src0, neg0, src1, neg1 in plan.ops:
-            cone_node = plan.nodes[dst]
-            if cone_node in frame:
-                continue
-            f0, f1 = self.aig.fanins(cone_node)
-            a = self._frame_edge_lit(frame, f0)
-            b = self._frame_edge_lit(frame, f1)
-            out = self.solver.new_var()
-            frame[cone_node] = out
-            self.solver.add_clause([-out, a])
-            self.solver.add_clause([-out, b])
-            self.solver.add_clause([out, -a, -b])
-        lit = frame[node]
-        return -lit if edge & 1 else lit
-
-    def _frame_edge_lit(self, frame: dict[int, int], edge: int) -> int:
-        node = edge >> 1
-        if node == 0:
-            base = self._false_lit()
-        else:
-            base = frame[node]
-        return -base if edge & 1 else base
+                f"edge {edge} is not over this netlist's interface: {error}"
+            ) from error
 
     # ------------------------------------------------------------------ #
     # Convenience literals
     # ------------------------------------------------------------------ #
-
-    def latch_lit(self, frame_index: int, latch_node: int) -> int:
-        return self.frame(frame_index)[latch_node]
-
-    def input_lit(self, frame_index: int, input_node: int) -> int:
-        return self.frame(frame_index)[input_node]
 
     def property_lit(self, frame_index: int) -> int:
         """Literal of the property edge evaluated at a frame."""
@@ -181,7 +147,7 @@ class Unroller:
         """Pin frame 0's latches to the netlist's initial values."""
         frame = self.frame(0)
         for node, value in self.netlist.init_assignment().items():
-            lit = frame[node]
+            lit = frame.var_for_node(node)
             self.solver.add_clause([lit if value else -lit])
 
     def state_distinct_clauses(self, i: int, j: int) -> None:
@@ -190,7 +156,7 @@ class Unroller:
         difference_lits = []
         for node in self.netlist.latch_nodes:
             diff = self.solver.new_var()
-            a, b = frame_i[node], frame_j[node]
+            a, b = frame_i.var_for_node(node), frame_j.var_for_node(node)
             # diff <-> a XOR b
             self.solver.add_clause([-diff, a, b])
             self.solver.add_clause([-diff, -a, -b])
@@ -206,13 +172,13 @@ class Unroller:
     def read_state(self, frame_index: int) -> dict[int, bool]:
         frame = self._frames[frame_index]
         return {
-            node: self.solver.value(frame[node])
+            node: self.solver.value(frame.var_for_node(node))
             for node in self.netlist.latch_nodes
         }
 
     def read_inputs(self, frame_index: int) -> dict[int, bool]:
         frame = self._frames[frame_index]
         return {
-            node: self.solver.value(frame[node])
+            node: self.solver.value(frame.var_for_node(node))
             for node in self.netlist.input_nodes
         }

@@ -30,8 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.aig.cnf import CnfMapper
-from repro.aig.graph import FALSE, edge_not
+from repro.aig.graph import FALSE
 from repro.circuits.netlist import Netlist
 from repro.errors import ResourceLimit
 from repro.mc.result import (
@@ -40,7 +39,7 @@ from repro.mc.result import (
     Trace,
     VerificationResult,
 )
-from repro.mc.trace import find_violation_inputs
+from repro.mc.trace import initial_violation
 from repro.obs import probes as _obs
 from repro.pdr.certify import check_certificate
 from repro.pdr.frames import FrameTrace, cube_excludes_init, state_to_cube
@@ -51,7 +50,6 @@ from repro.pdr.generalize import (
 )
 from repro.pdr.options import PdrOptions
 from repro.pdr.solver_pool import SolverPool
-from repro.sat.solver import SolveResult, Solver
 from repro.util.stats import StatsBag
 
 
@@ -91,9 +89,9 @@ class _Pdr:
     # ------------------------------------------------------------------ #
 
     def run(self) -> VerificationResult:
-        failed0 = self._check_initial_states()
-        if failed0 is not None:
-            return failed0
+        trace0 = initial_violation(self.netlist, self.stats)
+        if trace0 is not None:
+            return self._result(Status.FAILED, trace=trace0)
         if self.pool.bad_edge == FALSE or not self.netlist.num_latches:
             # No latch state to traverse, or no reachable bad valuation
             # at all: the empty (TRUE) invariant certifies the property,
@@ -130,32 +128,6 @@ class _Pdr:
                 fixpoint = self._propagate()
             if fixpoint is not None:
                 return self._proved(level=fixpoint)
-
-    # ------------------------------------------------------------------ #
-    # Depth 0
-    # ------------------------------------------------------------------ #
-
-    def _check_initial_states(self) -> VerificationResult | None:
-        """Does the initial state already violate the property?"""
-        netlist = self.netlist
-        aig = netlist.aig
-        bad0 = aig.and_(
-            netlist.init_state_edge(),
-            aig.and_(netlist.constraint_edge(),
-                     edge_not(netlist.property_edge)),
-        )
-        if bad0 == FALSE:
-            return None
-        mapper = CnfMapper(aig, Solver())
-        self.stats.incr("sat_calls")
-        if mapper.solver.solve([mapper.lit_for(bad0)]) is not SolveResult.SAT:
-            return None
-        state = netlist.init_assignment()
-        trace = Trace(
-            states=[state], inputs=[],
-            violation_inputs=find_violation_inputs(netlist, state),
-        )
-        return self._result(Status.FAILED, trace=trace)
 
     # ------------------------------------------------------------------ #
     # Blocking (the proof-obligation queue)

@@ -69,7 +69,7 @@ class FrameSolver:
     def lit(self, state_lit: int, primed: bool = False) -> int:
         """Solver literal of a signed latch node, at frame 0 or 1."""
         frame = self._next if primed else self._now
-        var = frame[abs(state_lit)]
+        var = frame.var_for_node(abs(state_lit))
         return -var if state_lit < 0 else var
 
     def bad_lit(self, bad_edge: int) -> int:

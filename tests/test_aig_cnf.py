@@ -84,6 +84,28 @@ class TestCnfMapper:
         with pytest.raises(AigError):
             mapper.input_literal(f >> 1)
 
+    @pytest.mark.parametrize("edge", [10**6, -3])
+    def test_foreign_edge_rejected(self, edge):
+        aig = Aig()
+        aig.add_inputs(2)
+        mapper = CnfMapper(aig)
+        with pytest.raises(AigError, match="does not belong"):
+            mapper.lit_for(edge)
+        assert mapper.solver.num_vars == 0
+
+    def test_bound_mapper_encodes_over_bound_leaves_only(self):
+        aig = Aig()
+        a, b, c = aig.add_inputs(3)
+        solver = Solver()
+        va, vb = solver.new_var(), solver.new_var()
+        mapper = CnfMapper(aig, solver, {a >> 1: va, b >> 1: vb})
+        lit = mapper.lit_for(aig.and_(a, edge_not(b)))
+        assert solver.solve([lit, -va]) is SolveResult.UNSAT
+        assert solver.solve([lit, vb]) is SolveResult.UNSAT
+        assert mapper.var_for_node(b >> 1) == vb
+        with pytest.raises(AigError, match=f"input node {c >> 1} is not bound"):
+            mapper.lit_for(aig.and_(a, c))
+
     def test_miter_check_equivalent(self):
         # (a AND b) == NOT(NOT a OR NOT b): miter is UNSAT.
         aig = Aig()

@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aig.graph import Aig
+from repro.aig.graph import FALSE, TRUE, Aig
 from repro.aig.ops import support
 from repro.errors import ProofError
 from repro.itp.interpolant import extract_interpolant, verify_interpolant
@@ -341,3 +341,77 @@ def test_missing_shared_mapping_rejected():
     proof = ResolutionProof.from_solver(solver)
     with pytest.raises(ProofError, match="no AIG edge"):
         extract_interpolant(proof, 1, Aig(), {})
+
+
+# ---------------------------------------------------------------------- #
+# The differential check rejects wrong interpolants
+# ---------------------------------------------------------------------- #
+
+
+def _two_var_partition(clauses_a, clauses_b):
+    """CNFs over DIMACS vars 1 (x) and 2 (y), both mapped to AIG inputs."""
+    cnf_a, cnf_b = CNF(2), CNF(2)
+    cnf_a.extend(clauses_a)
+    cnf_b.extend(clauses_b)
+    aig = Aig()
+    x, y = aig.add_input("x"), aig.add_input("y")
+    return aig, x, y, cnf_a, cnf_b, {1: x, 2: y}
+
+
+@pytest.mark.parametrize("oracle", ["dpll", "cdcl"])
+class TestVerifyInterpolantRejection:
+    def test_a_must_imply_interpolant(self, oracle):
+        # A = x AND y, B = NOT x OR NOT y: x AND y interpolates, NOT x
+        # is not implied by A.
+        aig, x, y, cnf_a, cnf_b, var_edge = _two_var_partition(
+            [[1], [2]], [[-1, -2]]
+        )
+        assert verify_interpolant(
+            aig, aig.and_(x, y), cnf_a, cnf_b, var_edge, oracle
+        )
+        with pytest.raises(ProofError, match="A does not imply"):
+            verify_interpolant(aig, x ^ 1, cnf_a, cnf_b, var_edge, oracle)
+
+    def test_interpolant_must_contradict_b(self, oracle):
+        # I = x holds in A, but x AND NOT y satisfies B.
+        aig, x, y, cnf_a, cnf_b, var_edge = _two_var_partition(
+            [[1], [2]], [[-1, -2]]
+        )
+        with pytest.raises(ProofError, match="does not contradict B"):
+            verify_interpolant(aig, x, cnf_a, cnf_b, var_edge, oracle)
+
+    def test_constant_true(self, oracle):
+        # B alone is unsatisfiable: TRUE is an interpolant...
+        aig, _, _, cnf_a, cnf_b, var_edge = _two_var_partition(
+            [[1]], [[2], [-2]]
+        )
+        assert verify_interpolant(aig, TRUE, cnf_a, cnf_b, var_edge, oracle)
+        # ...but not when B is satisfiable.
+        aig, _, _, cnf_a, cnf_b, var_edge = _two_var_partition(
+            [[1]], [[-1]]
+        )
+        with pytest.raises(ProofError, match="does not contradict B"):
+            verify_interpolant(aig, TRUE, cnf_a, cnf_b, var_edge, oracle)
+
+    def test_constant_false(self, oracle):
+        # A alone is unsatisfiable: FALSE is an interpolant...
+        aig, _, _, cnf_a, cnf_b, var_edge = _two_var_partition(
+            [[1], [-1]], [[2]]
+        )
+        assert verify_interpolant(aig, FALSE, cnf_a, cnf_b, var_edge, oracle)
+        # ...but not when A is satisfiable.
+        aig, _, _, cnf_a, cnf_b, var_edge = _two_var_partition(
+            [[1]], [[-1]]
+        )
+        with pytest.raises(ProofError, match="A does not imply"):
+            verify_interpolant(aig, FALSE, cnf_a, cnf_b, var_edge, oracle)
+
+    def test_support_must_stay_shared(self, oracle):
+        aig, x, _, cnf_a, cnf_b, var_edge = _two_var_partition(
+            [[1]], [[-1]]
+        )
+        z = aig.add_input("z")
+        with pytest.raises(ProofError, match="escapes the shared"):
+            verify_interpolant(
+                aig, aig.and_(x, z), cnf_a, cnf_b, var_edge, oracle
+            )

@@ -24,8 +24,8 @@ class TestUnroller:
         unroller = Unroller(net)
         f0 = unroller.frame(0)
         f1 = unroller.frame(1)
-        assert set(f0[n] for n in net.latch_nodes).isdisjoint(
-            f1[n] for n in net.latch_nodes
+        assert set(f0.var_for_node(n) for n in net.latch_nodes).isdisjoint(
+            f1.var_for_node(n) for n in net.latch_nodes
         )
 
     def test_transition_semantics(self):
