@@ -184,12 +184,11 @@ def conquer(
 
     def tick(active: int) -> None:
         if _obs.ENABLED:
-            _obs.cnc_tick(
-                open_cubes=len(pending),
-                solved_cubes=solved,
-                refuted_cubes=lookahead_refuted,
-                active_workers=active,
-                bag=bag,
+            _obs.sample_group(
+                ("cnc.open_cubes", len(pending)),
+                ("cnc.solved_cubes", solved),
+                ("cnc.refuted_cubes", lookahead_refuted),
+                ("cnc.active_workers", active),
             )
 
     def absorb(task: ConquerTask, verdict: str, payload, solver_stats,
@@ -250,11 +249,7 @@ def conquer(
 
     ctx = spawn_context()
     obs_cfg = parent_obs_config()
-    tracer = None
-    if obs_cfg is not None:
-        from repro import obs
-
-        tracer = obs.current_tracer()
+    tracer = _obs.current_tracer() if obs_cfg is not None else None
     running: list[WorkerHandle] = []
 
     def launch() -> None:

@@ -186,12 +186,12 @@ def build_cube_tree(
                     )
                 )
         if _obs.ENABLED:
-            _obs.cnc_tick(
-                open_cubes=len(stack),
-                solved_cubes=0,
-                refuted_cubes=int(bag.get("cnc_cube_refuted_leaves")),
-                active_workers=0,
-                bag=bag,
+            _obs.sample_group(
+                ("cnc.open_cubes", len(stack)),
+                ("cnc.solved_cubes", 0),
+                ("cnc.refuted_cubes",
+                 int(bag.get("cnc_cube_refuted_leaves"))),
+                ("cnc.active_workers", 0),
             )
     bag.set("cnc_cube_leaves", len(tree.leaves))
     return tree

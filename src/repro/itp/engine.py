@@ -153,10 +153,8 @@ def _itp_round(
         if _obs.ENABLED:
             # Interpolant growth per iteration is the engine's own
             # convergence signal; sample it unconditionally of the tick.
-            tracer = _obs.tracer()
-            tracer.sample("itp.interpolant_nodes", interpolant_nodes)
-            stats.sample("itp.interpolant_nodes", interpolant_nodes,
-                         t=tracer.now())
+            _obs.current_tracer().sample("itp.interpolant_nodes",
+                                         interpolant_nodes)
         if options.verify_interpolants:
             cnf_a, cnf_b = proof.partition(split)
             width = max(cnf_a.num_vars, cnf_b.num_vars, solver.num_vars)
@@ -171,8 +169,7 @@ def _itp_round(
             return "proved", None, iterations
         reach = or_(aig, reach, interpolant)
         if _obs.ENABLED:
-            _obs.sample("itp.reach_nodes", aig.cone_and_count(reach),
-                        bag=stats)
+            _obs.sample("itp.reach_nodes", aig.cone_and_count(reach))
     return "deepen", None, iterations
 
 

@@ -351,7 +351,7 @@ def bdd_backward_reachability(
         stats.max("peak_frontier_bdd", manager.size(new_frontier))
         stats.max("peak_reached_bdd", manager.size(reached))
         if _obs.ENABLED:
-            _obs.bdd_tick(manager, bag=stats)
+            _obs.bdd_tick(manager)
         manager.trim_caches()
         if new_frontier == BDD_FALSE:
             stats.set("iterations", iteration)
@@ -467,7 +467,7 @@ def bdd_forward_reachability(
         stats.max("peak_frontier_bdd", manager.size(new_frontier))
         stats.max("peak_reached_bdd", manager.size(reached))
         if _obs.ENABLED:
-            _obs.bdd_tick(manager, bag=stats)
+            _obs.bdd_tick(manager)
         manager.trim_caches()
         if new_frontier == BDD_FALSE:
             stats.set("iterations", iteration)

@@ -4,15 +4,18 @@ The observability layer every engine reports into:
 
 * :class:`Tracer` (:mod:`repro.obs.trace`) — nested spans and counter
   samples, exportable as Chrome ``trace_event`` JSON
-  (``chrome://tracing`` / Perfetto) and as a JSONL stream;
-* :mod:`repro.obs.probes` — tick-throttled probe hooks wired into the
-  SAT solver, the BDD manager, PDR and itp, guarded so the *disabled*
-  cost is one predicted branch (search trajectories are bit-identical
-  with tracing on or off);
+  (``chrome://tracing`` / Perfetto).  Its counter records are the one
+  store of time-series samples;
+* :mod:`repro.obs.probes` — the tracing switch (``enable``, ``disable``,
+  ``is_enabled``, ``current_tracer``, ``span``, ``sample``, re-exported
+  here) and the tick-throttled probe hooks wired into the SAT solver,
+  the BDD manager, PDR, itp, cnc and the service, guarded so the
+  *disabled* cost is one predicted branch (search trajectories are
+  bit-identical with tracing on or off);
 * :class:`RunReport` (:mod:`repro.obs.report`) — the post-run
   aggregation: engine timeline, per-phase breakdown, peak gauges and
-  p50/p95 series quantiles; both human-readable (``render()``) and
-  machine-readable (``to_dict()``);
+  p50/p95 quantiles of the tracer's series; both human-readable
+  (``render()``) and machine-readable (``to_dict()``);
 * :mod:`repro.obs.metrics` — the process-wide labeled metrics registry
   (counters, gauges, fixed-bucket histograms) behind the verification
   service's ``/metrics`` endpoint, exposed as JSON and Prometheus text
@@ -41,6 +44,14 @@ the runner pipe and are merged into the parent's timeline.
 from __future__ import annotations
 
 from repro.obs import metrics, probes
+from repro.obs.probes import (
+    current_tracer,
+    disable,
+    enable,
+    is_enabled,
+    sample,
+    span,
+)
 from repro.obs.report import RunReport, build_report
 from repro.obs.trace import (
     NULL_SPAN,
@@ -63,44 +74,3 @@ __all__ = [
     "sample",
     "span",
 ]
-
-
-def enable(tracer: Tracer | None = None, tick: float | None = None) -> Tracer:
-    """Turn tracing on process-wide; returns the active tracer.
-
-    Pass a ready-made :class:`Tracer` to collect into it (e.g. one whose
-    epoch a parent process dictated), or let one be created.  ``tick``
-    overrides the sampling interval of a freshly created tracer.
-    Idempotent: enabling while already enabled keeps the active tracer.
-    """
-    if probes.ENABLED and probes.tracer() is not None:
-        return probes.tracer()
-    if tracer is None:
-        tracer = Tracer(tick=tick if tick is not None else 0.01)
-    return probes.activate(tracer)
-
-
-def disable() -> Tracer | None:
-    """Turn tracing off; returns the tracer that was active, if any."""
-    tracer = probes.tracer()
-    probes.deactivate()
-    return tracer
-
-
-def is_enabled() -> bool:
-    return probes.ENABLED
-
-
-def current_tracer() -> Tracer | None:
-    return probes.tracer()
-
-
-def span(name: str, category: str = "engine", **attrs: object):
-    """A nested span on the active tracer; a no-op while disabled."""
-    return probes.span(name, category, **attrs)
-
-
-def sample(name: str, value: float, bag=None) -> None:
-    """A tick-guarded counter sample; a no-op while disabled."""
-    if probes.ENABLED:
-        probes.sample(name, value, bag=bag)

@@ -1,8 +1,11 @@
-"""Low-overhead probe hooks for the hot kernels.
+"""Low-overhead probe hooks for the hot kernels, and the tracing switch.
 
-The contract with the instrumented code (the same discipline as the
-solver's proof logging): a kernel guards every hook behind the
-module-level :data:`ENABLED` flag —
+This module owns the process-wide tracing state: :func:`enable` installs
+a :class:`~repro.obs.trace.Tracer` as the probe sink, :func:`disable`
+removes it, and :mod:`repro.obs` re-exports both.  The contract with the
+instrumented code (the same discipline as the solver's proof logging):
+a kernel guards every hook behind the module-level :data:`ENABLED`
+flag —
 
     from repro.obs import probes as _obs
     ...
@@ -17,11 +20,12 @@ kernel counters, never mutate them.
 When enabled, every probe is additionally throttled by the active
 tracer's tick (:meth:`repro.obs.trace.Tracer.should_sample`), so even a
 solver making hundreds of thousands of propagations per second emits a
-bounded sample stream.
+bounded sample stream.  :func:`sample_group` records several related
+gauges at once; the first name's tick gates the whole group.
 
-Probe catalogue (all samples land in the tracer's counter series and,
-where a :class:`~repro.util.stats.StatsBag` is at hand, in its attached
-time-series):
+Probe catalogue.  Every sample is one counter record of the active
+tracer, the only place a time-series lives; the run's
+:class:`~repro.util.stats.StatsBag` keeps scalars only.
 
 ======================  =====================================================
 series                  meaning
@@ -54,28 +58,44 @@ from __future__ import annotations
 
 from repro.obs.trace import NULL_SPAN, Tracer
 
-# Rebound by activate()/deactivate().  Hot code reads the attribute
-# through the module (``probes.ENABLED``), so rebinding is visible
-# everywhere without any registration machinery.
+# Rebound by enable()/disable().  Hot code reads the attribute through
+# the module (``probes.ENABLED``), so rebinding is visible everywhere
+# without any registration machinery.
 ENABLED = False
 _TRACER: Tracer | None = None
 
 
-def activate(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the process-wide probe sink and enable."""
+def enable(tracer: Tracer | None = None, tick: float | None = None) -> Tracer:
+    """Turn tracing on process-wide; returns the active tracer.
+
+    Pass a ready-made :class:`Tracer` to collect into it (e.g. one whose
+    epoch a parent process dictated), or let one be created.  ``tick``
+    overrides the sampling interval of a freshly created tracer.
+    Idempotent: enabling while already enabled keeps the active tracer.
+    """
     global ENABLED, _TRACER
-    _TRACER = tracer
-    ENABLED = True
+    if _TRACER is None:
+        if tracer is None:
+            tracer = Tracer(tick=tick if tick is not None else 0.01)
+        _TRACER = tracer
+        ENABLED = True
+    return _TRACER
+
+
+def disable() -> Tracer | None:
+    """Turn tracing off; returns the tracer that was active, if any."""
+    global ENABLED, _TRACER
+    tracer = _TRACER
+    ENABLED = False
+    _TRACER = None
     return tracer
 
 
-def deactivate() -> None:
-    global ENABLED, _TRACER
-    ENABLED = False
-    _TRACER = None
+def is_enabled() -> bool:
+    return ENABLED
 
 
-def tracer() -> Tracer | None:
+def current_tracer() -> Tracer | None:
     """The active tracer, or ``None`` while disabled."""
     return _TRACER
 
@@ -87,37 +107,41 @@ def span(name: str, category: str = "engine", **attrs: object):
     return _TRACER.span(name, category, **attrs)
 
 
-def sample(name: str, value: float, bag=None) -> None:
-    """One tick-guarded sample into the tracer (and ``bag``'s series)."""
+def sample(name: str, value: float) -> None:
+    """One tick-guarded sample into the active tracer."""
     t = _TRACER
     if t is None or not t.should_sample(name):
         return
     t.sample(name, value)
-    if bag is not None:
-        bag.sample(name, value, t=t.now())
+
+
+def sample_group(*pairs: tuple[str, float]) -> None:
+    """Tick-guarded ``(name, value)`` samples of related gauges.
+
+    The first name's tick gates the whole group, so the group's series
+    stay aligned sample for sample.
+    """
+    t = _TRACER
+    if t is None or not t.should_sample(pairs[0][0]):
+        return
+    for name, value in pairs:
+        t.sample(name, value)
 
 
 # ---------------------------------------------------------------------- #
-# Kernel-specific hooks
+# Kernel-specific hooks: these read kernel counters after the guard
 # ---------------------------------------------------------------------- #
 
 
-def solver_tick(solver, bag=None) -> None:
+def solver_tick(solver) -> None:
     """Sample a CDCL solver's cumulative counters (tick-guarded)."""
     t = _TRACER
     if t is None or not t.should_sample("sat.conflicts"):
         return
-    now = t.now()
-    pairs = (
-        ("sat.conflicts", solver.conflicts),
-        ("sat.propagations", solver.propagations),
-        ("sat.restarts", solver.restarts),
-        ("sat.learned_db", len(solver._learnt_ids)),
-    )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
+    t.sample("sat.conflicts", solver.conflicts)
+    t.sample("sat.propagations", solver.propagations)
+    t.sample("sat.restarts", solver.restarts)
+    t.sample("sat.learned_db", len(solver._learnt_ids))
 
 
 def begin_solve(solver) -> tuple[float, int, int]:
@@ -146,7 +170,7 @@ def end_solve(solver, snapshot: tuple[float, int, int], result) -> None:
     solver_tick(solver)
 
 
-def bdd_tick(manager, bag=None) -> None:
+def bdd_tick(manager) -> None:
     """Sample a BDD manager's node count and cache behaviour.
 
     Reads the manager's scalar per-operation counters and cache ``len``s
@@ -156,7 +180,6 @@ def bdd_tick(manager, bag=None) -> None:
     t = _TRACER
     if t is None or not t.should_sample("bdd.nodes"):
         return
-    now = t.now()
     hits = (
         manager._hits_ite + manager._hits_and + manager._hits_or
         + manager._hits_xor + manager._hits_not + manager._hits_exists
@@ -171,80 +194,6 @@ def bdd_tick(manager, bag=None) -> None:
     entries = 0
     for cache in manager._caches.values():
         entries += len(cache)
-    pairs = (
-        ("bdd.nodes", manager.num_nodes),
-        ("bdd.cache_hit_rate", hits / lookups if lookups else 0.0),
-        ("bdd.cache_entries", entries),
-    )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
-
-
-def cnc_tick(
-    open_cubes: int,
-    solved_cubes: int,
-    refuted_cubes: int,
-    active_workers: int,
-    bag=None,
-) -> None:
-    """Sample the cube-and-conquer engine's cube and worker gauges."""
-    t = _TRACER
-    if t is None or not t.should_sample("cnc.open_cubes"):
-        return
-    now = t.now()
-    pairs = (
-        ("cnc.open_cubes", open_cubes),
-        ("cnc.solved_cubes", solved_cubes),
-        ("cnc.refuted_cubes", refuted_cubes),
-        ("cnc.active_workers", active_workers),
-    )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
-
-
-def svc_tick(
-    queue_depth: int,
-    active_leases: int,
-    completed_jobs: int,
-    bag=None,
-) -> None:
-    """Sample the verification service's queue/lease/worker gauges.
-
-    Same read-only contract as every other probe: the worker loop calls
-    this between claims, so a traced service run is observable without
-    perturbing any verdict (pinned by the svc stats-identity test).
-    """
-    t = _TRACER
-    if t is None or not t.should_sample("svc.queue_depth"):
-        return
-    now = t.now()
-    pairs = (
-        ("svc.queue_depth", queue_depth),
-        ("svc.active_leases", active_leases),
-        ("svc.completed_jobs", completed_jobs),
-    )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
-
-
-def pdr_tick(queue_depth: int, frames, bag=None) -> None:
-    """Sample PDR's obligation queue depth and frame/lemma gauges."""
-    t = _TRACER
-    if t is None or not t.should_sample("pdr.queue_depth"):
-        return
-    now = t.now()
-    pairs = (
-        ("pdr.queue_depth", queue_depth),
-        ("pdr.lemmas", frames.lemma_count()),
-        ("pdr.frames", frames.num_frames),
-    )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
+    t.sample("bdd.nodes", manager.num_nodes)
+    t.sample("bdd.cache_hit_rate", hits / lookups if lookups else 0.0)
+    t.sample("bdd.cache_entries", entries)

@@ -8,8 +8,8 @@ and the :class:`~repro.obs.trace.Tracer` that observed its run into a
   for how long, with what verdict);
 * **per-phase breakdown** — spans grouped by name: call count, total and
   mean wall time, share of the run;
-* **series summary** — per counter series: sample count, final and peak
-  value (the peak gauges of the run);
+* **series summary** — per counter series of the tracer (the one store
+  of time-series samples): sample count, final and peak value, p50/p95;
 * the result's :class:`~repro.util.stats.StatsBag`, counters and gauges
   split as the bag itself classifies them.
 
@@ -174,7 +174,7 @@ def build_report(result, tracer: Tracer | None = None) -> RunReport:
 
     ``result`` is a :class:`~repro.mc.result.VerificationResult`; the
     tracer is optional — without one the report still carries the stats
-    split and any time-series attached to the result's bag.
+    split, but no timeline, phases or series.
     """
     bag = result.stats
     gauges = {}
@@ -192,9 +192,7 @@ def build_report(result, tracer: Tracer | None = None) -> RunReport:
         counters=counters,
         gauges=gauges,
     )
-    series_points: dict[str, list[tuple[float, float]]] = {
-        key: list(bag.series(key)) for key in bag.series_keys()
-    }
+    series_points: dict[str, list[tuple[float, float]]] = {}
     if tracer is not None:
         spans = sorted(tracer.spans, key=lambda s: s.start)
         report.span_count = len(spans)

@@ -1,4 +1,4 @@
-"""Nested-span tracing with Chrome ``trace_event`` and JSONL export.
+"""Nested-span tracing with Chrome ``trace_event`` export.
 
 A :class:`Tracer` records two kinds of observations:
 
@@ -8,12 +8,15 @@ A :class:`Tracer` records two kinds of observations:
   attributes.  Nesting is tracked per thread, so concurrent sessions
   produce well-formed trees;
 * **counter samples** — ``tracer.sample("sat.conflicts", n)`` time-series
-  points, the output of the probe hooks in :mod:`repro.obs.probes`.
+  points, the output of the probe hooks in :mod:`repro.obs.probes` and
+  the only place a sample is stored.
 
 Both export as Chrome ``trace_event`` JSON (loadable in
 ``chrome://tracing`` and Perfetto: spans become ``ph:"X"`` complete
-events, samples become ``ph:"C"`` counter tracks) and as a compact JSONL
-stream that round-trips through :meth:`Tracer.read_jsonl`.
+events, samples become ``ph:"C"`` counter tracks).  The records
+themselves (:meth:`Tracer.export_records`) are what crosses process
+boundaries and what the verification service stores per job, beside
+the tracer's ``wall_epoch``.
 
 Timestamps are ``time.perf_counter()`` offsets from the tracer's
 ``epoch``.  On Linux ``perf_counter`` is CLOCK_MONOTONIC, which is
@@ -32,8 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-# The whole-file Chrome export wraps events in this envelope; the JSONL
-# stream writes one record per line instead.
+# The Chrome export names its schema in this envelope field.
 _SCHEMA = "repro.obs/1"
 
 
@@ -342,33 +344,3 @@ class Tracer:
         pathlib.Path(path).write_text(
             json.dumps(self.to_chrome_trace()) + "\n"
         )
-
-    def to_jsonl(self) -> str:
-        """One record per line: a header, then spans and samples."""
-        lines = [json.dumps({"type": "header", "schema": _SCHEMA,
-                             "wall_epoch": self.wall_epoch,
-                             "tick": self.tick})]
-        lines.extend(json.dumps(record) for record in self.export_records())
-        return "\n".join(lines) + "\n"
-
-    def write_jsonl(self, path: str | pathlib.Path) -> None:
-        pathlib.Path(path).write_text(self.to_jsonl())
-
-    @classmethod
-    def read_jsonl(cls, path: str | pathlib.Path) -> "Tracer":
-        """Rebuild a tracer from a JSONL stream written by ``write_jsonl``."""
-        tracer = cls()
-        records = []
-        for line in pathlib.Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("type") == "header":
-                tracer.wall_epoch = record.get("wall_epoch",
-                                               tracer.wall_epoch)
-                tracer.tick = record.get("tick", tracer.tick)
-                continue
-            records.append(record)
-        tracer.merge_records(records)
-        return tracer

@@ -141,7 +141,11 @@ class _Pdr:
             _, _, obligation = heapq.heappop(queue)
             self._obligations += 1
             if _obs.ENABLED:
-                _obs.pdr_tick(len(queue), self.frames, self.stats)
+                _obs.sample_group(
+                    ("pdr.queue_depth", len(queue)),
+                    ("pdr.lemmas", self.frames.lemma_count()),
+                    ("pdr.frames", self.frames.num_frames),
+                )
             if self._obligations > self.options.max_obligations:
                 raise ResourceLimit(
                     f"PDR exceeded {self.options.max_obligations} "

@@ -55,7 +55,7 @@ def spawn_context() -> multiprocessing.context.BaseContext:
 
 def parent_obs_config() -> dict | None:
     """The obs hand-off a parent passes to its workers (None = untraced)."""
-    tracer = obs.current_tracer() if obs.is_enabled() else None
+    tracer = obs.current_tracer()
     if tracer is None:
         return None
     return {"epoch": tracer.epoch, "tick": tracer.tick}
@@ -231,12 +231,8 @@ def run_portfolio(
         jobs = min(len(methods), max(2, os.cpu_count() or 1))
     jobs = max(1, jobs)
     options = dict(engine_options or {})
-    tracer = obs.current_tracer() if obs.is_enabled() else None
-    obs_cfg = (
-        {"epoch": tracer.epoch, "tick": tracer.tick}
-        if tracer is not None
-        else None
-    )
+    tracer = obs.current_tracer()
+    obs_cfg = parent_obs_config()
     pending = list(methods)
     running: list[WorkerHandle] = []
     outcomes: list[EngineOutcome] = []

@@ -12,8 +12,8 @@ are persisted content-addressed.  While a job runs:
   back in the queue;
 * every :class:`~repro.api.session.ProgressEvent` is appended to the
   job's event stream in the store (and, when :mod:`repro.obs` tracing
-  is active, the run is additionally wrapped in a ``svc.job`` span with
-  ``svc_tick`` queue/lease gauges sampled between claims);
+  is active, the run is additionally wrapped in a ``svc.job`` span, and
+  the ``svc.*`` queue/lease/worker gauges are sampled between claims);
 * the session's ``cancel_poll`` reads the job's cancel flag, so a
   wire-level cancel takes effect at the next engine-race boundary.
 
@@ -122,10 +122,10 @@ class Worker:
                 break
             self.queue.requeue_expired()
             if _obs.ENABLED:
-                _obs.svc_tick(
-                    self.queue.depth(),
-                    self.queue.active_leases(),
-                    self.jobs_completed,
+                _obs.sample_group(
+                    ("svc.queue_depth", self.queue.depth()),
+                    ("svc.active_leases", self.queue.active_leases()),
+                    ("svc.completed_jobs", self.jobs_completed),
                 )
             if self.run_one():
                 completed += 1
@@ -190,12 +190,10 @@ class Worker:
         # Per-job tracing: reuse an already-active tracer (only *this*
         # job's new records are uploaded), otherwise own one for the
         # duration of the job.
-        tracer = _obs.tracer() if self.trace_jobs else None
+        tracer = _obs.current_tracer() if self.trace_jobs else None
         owned_tracer = False
         if self.trace_jobs and tracer is None:
-            from repro import obs as _obs_pkg
-
-            tracer = _obs_pkg.enable()
+            tracer = _obs.enable()
             owned_tracer = True
         spans0 = len(tracer.spans) if tracer is not None else 0
         counters0 = len(tracer.counters) if tracer is not None else 0
@@ -285,9 +283,7 @@ class Worker:
                 )
         finally:
             if owned_tracer:
-                from repro import obs as _obs_pkg
-
-                _obs_pkg.disable()
+                _obs.disable()
 
 
 def worker_main(

@@ -1,7 +1,7 @@
 """Tests for the observability subsystem (:mod:`repro.obs`).
 
-Covers the tracer core (span nesting, JSONL round-trip, Chrome
-``trace_event`` schema), the probe hooks' zero-cost-when-disabled
+Covers the tracer core (span nesting, Chrome ``trace_event`` schema,
+cross-process record merge), the probe hooks' zero-cost-when-disabled
 contract (stats-identical search trajectories), the ``mc.verify(trace=)``
 wiring, the subprocess trace merge through the portfolio runner pipe,
 and the post-run :class:`~repro.obs.report.RunReport`.
@@ -139,24 +139,6 @@ class TestExportFormats:
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
 
-    def test_jsonl_round_trip(self, tmp_path):
-        tracer = self._populated()
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
-        loaded = Tracer.read_jsonl(path)
-        assert len(loaded.spans) == len(tracer.spans)
-        assert len(loaded.counters) == len(tracer.counters)
-        by_id = {span.span_id: span for span in loaded.spans}
-        for original in tracer.spans:
-            restored = by_id[original.span_id]
-            assert restored.name == original.name
-            assert restored.category == original.category
-            assert restored.parent_id == original.parent_id
-            assert restored.attrs == original.attrs
-            assert restored.start == pytest.approx(original.start)
-        assert loaded.counters[0].value == 17.0
-        assert loaded.wall_epoch == pytest.approx(tracer.wall_epoch)
-
     def test_merge_records_folds_both_kinds(self):
         parent = Tracer()
         worker = Tracer(epoch=parent.epoch)
@@ -226,11 +208,11 @@ class TestBddTickDirectReads:
         manager.exists(f, [1])
 
         tracer = Tracer(tick=0.0)
-        probes.activate(tracer)
+        probes.enable(tracer)
         try:
             probes.bdd_tick(manager)
         finally:
-            probes.deactivate()
+            probes.disable()
 
         sampled = {rec.name: rec.value for rec in tracer.counters}
         summary = manager.cache_summary()
@@ -258,6 +240,16 @@ class TestZeroCostDisabled:
         # are the regression oracle: bit-identical trajectories.
         assert baseline.stats.as_dict() == traced.stats.as_dict()
         assert baseline.stats.as_dict() == rerun.stats.as_dict()
+
+    @pytest.mark.parametrize("method", ["pdr", "itp", "reach_bdd", "bmc"])
+    def test_traced_run_serializes_identically(self, method):
+        # Samples live in the tracer only: the serialized bag (what the
+        # result cache and the service store persist) carries no trace
+        # of whether the run was observed.
+        netlist = handshake(True)
+        baseline = verify(netlist, method=method, max_depth=24)
+        traced = verify(netlist, method=method, max_depth=24, trace=True)
+        assert baseline.stats.to_dict() == traced.stats.to_dict()
 
     @pytest.mark.parametrize("method", ["pdr", "itp"])
     def test_failing_run_is_stats_identical(self, method):
@@ -329,7 +321,8 @@ class TestVerifyTraceWiring:
         names = {span.name for span in result.tracer.spans}
         assert "itp.round" in names
         assert "itp.interpolant" in names
-        assert "itp.interpolant_nodes" in result.stats.series_keys()
+        counters = {c.name for c in result.tracer.counters}
+        assert "itp.interpolant_nodes" in counters
 
     def test_invalid_trace_argument_raises(self):
         with pytest.raises(TypeError):
@@ -468,6 +461,24 @@ class TestRunReport:
         assert doc["engine"] == "pdr"
         assert doc["status"] == "proved"
         assert doc == report.to_dict()
+
+    SERIES_RUNS = {
+        "pdr": lambda: (handshake(True), dict(max_depth=24)),
+        "itp": lambda: (mod_counter(4), dict(max_depth=16)),
+        "reach_bdd": lambda: (mod_counter(4), dict(max_depth=32)),
+        "cnc": lambda: (handshake(False), dict(max_depth=12, workers=0)),
+    }
+
+    @pytest.mark.parametrize("method", sorted(SERIES_RUNS))
+    def test_series_count_each_sample_once(self, method):
+        netlist, kwargs = self.SERIES_RUNS[method]()
+        tracer = Tracer(tick=0.0)
+        result = verify(netlist, method=method, trace=tracer, **kwargs)
+        report = obs.build_report(result, tracer)
+        recorded = {}
+        for record in tracer.counters:
+            recorded[record.name] = recorded.get(record.name, 0) + 1
+        assert {s.name: s.samples for s in report.series} == recorded
 
     def test_render_is_human_readable(self):
         result = self._traced_result()

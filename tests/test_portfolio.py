@@ -108,6 +108,58 @@ class TestResultCache:
         assert hit.status is Status.FAILED
         assert hit.trace.validate(fresh)
 
+    # A traced itp run on mod_counter(4), as stored before time-series
+    # moved out of the stats bag: the bag still carried a "series" map.
+    TRACED_ITP_RECORD = {
+        "status": "proved", "engine": "itp", "iterations": 3,
+        "trace": None, "certificate": None,
+        "stats": {
+            "values": {
+                "sat_calls": 7, "itp_depth": 1, "cnf_vars": 38,
+                "proof_nodes": 136.0, "proofs_checked": 3,
+                "interpolant_nodes": 6.0, "reach_nodes": 11.0,
+            },
+            "gauges": ["cnf_vars", "interpolant_nodes", "itp_depth",
+                       "proof_nodes", "reach_nodes"],
+            "series": {
+                "itp.interpolant_nodes": [
+                    [0.0022843280021334067, 0.0],
+                    [0.0044663530024990905, 6.0],
+                    [0.00662403699971037, 6.0],
+                ],
+                "itp.reach_nodes": [[0.002615633002278628, 4.0]],
+            },
+        },
+        "method": "itp", "max_depth": 16, "budget": None,
+    }
+    TRACED_ITP_STATS = {
+        "values": TRACED_ITP_RECORD["stats"]["values"],
+        "gauges": TRACED_ITP_RECORD["stats"]["gauges"],
+    }
+
+    def test_traced_record_from_before_loads_without_series(self):
+        from repro.mc.result import VerificationResult
+
+        result = VerificationResult.from_dict(self.TRACED_ITP_RECORD)
+        assert result.status is Status.PROVED
+        assert result.stats.to_dict() == self.TRACED_ITP_STATS
+        assert result.stats.is_gauge("interpolant_nodes")
+        assert not result.stats.is_gauge("sat_calls")
+
+    def test_traced_jsonl_entry_from_before_is_a_hit(self, tmp_path):
+        import json
+
+        netlist = G.mod_counter(4)
+        record = dict(self.TRACED_ITP_RECORD,
+                      hash=structural_hash(netlist))
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        hit = ResultCache(path).lookup(netlist, "itp", 16)
+        assert hit is not None and hit.status is Status.PROVED
+        stats = hit.stats.to_dict()
+        assert stats["values"].pop("cache_hit") == 1
+        assert stats == self.TRACED_ITP_STATS
+
     def test_unknown_budget_stamps(self):
         cache = ResultCache()
         netlist = G.mod_counter(3, 6)

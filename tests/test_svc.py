@@ -554,7 +554,7 @@ class TestServiceObservability:
         return payloads, tracer
 
     def test_traced_run_is_verdict_identical_and_observable(self, tmp_path):
-        # The svc_tick probe follows the read-only probe contract: a
+        # The svc.* probes follow the read-only probe contract: a
         # traced service run must return bit-identical verdicts
         # (status, trace, certificate, iterations) to an untraced one.
         plain, _ = self._run_service(tmp_path, "plain", traced=False)

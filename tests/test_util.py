@@ -1,9 +1,6 @@
-"""Tests for the util substrate (stats containers, stopwatch)."""
+"""Tests for the util substrate (the stats container)."""
 
-import pytest
-
-from repro.util.stats import Counter, StatsBag
-from repro.util.timing import Stopwatch
+from repro.util.stats import StatsBag
 
 
 class TestStatsBag:
@@ -118,92 +115,13 @@ class TestStatsBag:
         bag.set("depth", 2)
         assert bag.is_gauge("depth")
 
-
-class TestStatsBagSeries:
-    def test_sample_and_series(self):
-        bag = StatsBag()
-        bag.sample("nodes", 10, t=0.5)
-        bag.sample("nodes", 12, t=1.0)
-        assert bag.series("nodes") == [(0.5, 10.0), (1.0, 12.0)]
-        assert bag.series_keys() == {"nodes"}
-        assert bag.series("missing") == []
-
-    def test_sample_defaults_to_perf_counter(self):
-        bag = StatsBag()
-        bag.sample("nodes", 1)
-        ((t, value),) = bag.series("nodes")
-        assert t > 0.0
-        assert value == 1.0
-
-    def test_series_returns_copy(self):
-        bag = StatsBag()
-        bag.sample("nodes", 1, t=0.0)
-        bag.series("nodes").append((9.0, 9.0))
-        assert len(bag.series("nodes")) == 1
-
-    def test_to_dict_round_trips_series(self):
+    def test_to_dict_round_trips_scalars(self):
         bag = StatsBag()
         bag.incr("calls", 3)
         bag.set("peak", 7)
-        bag.sample("nodes", 10, t=0.5)
-        restored = StatsBag.from_dict(bag.to_dict())
-        assert restored.get("calls") == 3
-        assert restored.is_gauge("peak")
-        assert restored.series("nodes") == [(0.5, 10.0)]
-
-    def test_to_dict_omits_empty_series(self):
-        bag = StatsBag()
-        bag.incr("calls")
-        assert "series" not in bag.to_dict()
-
-    def test_merge_concatenates_series_in_time_order(self):
-        left = StatsBag()
-        left.sample("nodes", 1, t=0.0)
-        left.sample("nodes", 3, t=2.0)
-        right = StatsBag()
-        right.sample("nodes", 2, t=1.0)
-        right.sample("queue", 5, t=0.5)
-        left.merge(right)
-        assert left.series("nodes") == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-        assert left.series("queue") == [(0.5, 5.0)]
-
-
-class TestCounter:
-    def test_incr(self):
-        counter = Counter("n")
-        counter.incr()
-        counter.incr(2)
-        assert counter.value == 3
-        assert counter.name == "n"
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        first = watch.elapsed
-        with watch:
-            pass
-        assert watch.elapsed >= first >= 0.0
-
-    def test_double_start_rejected(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError):
-            watch.start()
-        watch.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_running_flag_and_reset(self):
-        watch = Stopwatch()
-        assert not watch.running
-        watch.start()
-        assert watch.running
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-        assert not watch.running
+        payload = bag.to_dict()
+        assert payload == {"values": {"calls": 3, "peak": 7},
+                           "gauges": ["peak"]}
+        restored = StatsBag.from_dict(payload)
+        assert restored.as_dict() == bag.as_dict()
+        assert restored.gauge_keys() == {"peak"}
