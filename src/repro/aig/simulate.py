@@ -99,12 +99,18 @@ def _unpack(value: int, words: int) -> np.ndarray:
     ).view(np.uint64)
 
 
-def _eval_plan(
+def eval_packed(
     plan: ConePlan,
     input_ints: Mapping[int, int],
     mask: int,
 ) -> list[int]:
-    """One topological pass; returns the flat per-position value list."""
+    """One topological pass over packed-integer lanes.
+
+    ``input_ints`` maps input nodes to lane integers (missing inputs are
+    zero) and ``mask`` has one bit set per lane.  Returns the flat value
+    list indexed by ``plan.pos``; a complemented edge reads its node's
+    value XOR ``mask``.
+    """
     values = [0] * plan.size
     for index, node in plan.inputs:
         values[index] = input_ints.get(node, 0)
@@ -143,7 +149,7 @@ def simulate(
     input_ints = {
         node: _pack(vector) for node, vector in input_vectors.items()
     }
-    values = _eval_plan(plan, input_ints, mask)
+    values = eval_packed(plan, input_ints, mask)
     pos = plan.pos
     result: dict[int, np.ndarray] = {}
     for edge in targets:
@@ -169,7 +175,7 @@ def simulate_nodes(
     input_ints = {
         node: _pack(vector) for node, vector in input_vectors.items()
     }
-    values = _eval_plan(plan, input_ints, mask)
+    values = eval_packed(plan, input_ints, mask)
     return {
         node: _unpack(values[index], words)
         for node, index in plan.pos.items()
@@ -222,7 +228,7 @@ def truth_table(aig: Aig, edge: int, input_order: Sequence[int]) -> int:
         for shift in range(0, rows, period):
             full |= pattern << shift
         input_ints[node] = full & mask
-    values = _eval_plan(plan, input_ints, mask)
+    values = eval_packed(plan, input_ints, mask)
     value = values[plan.pos.get(edge >> 1, 0)]
     if edge & 1:
         value ^= mask

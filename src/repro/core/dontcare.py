@@ -44,12 +44,18 @@ class DontCareOracle:
         self.stats = StatsBag()
 
     def valid_under_input_dc(
-        self, care_edge: int, original: int, replacement: int
+        self,
+        care_edge: int,
+        original: int,
+        replacement: int,
+        counterexample: dict[int, bool] | None = None,
     ) -> bool | None:
         """Input-DC rule: does ``original == replacement`` hold within care?
 
         ``care_edge`` is the care set (``NOT f0`` when f0's onset is the DC
-        set).  True means the replacement is safe.
+        set).  True means the replacement is safe.  When the SAT check
+        refutes it, the distinguishing input assignment (a care pattern on
+        which the two differ) is written into ``counterexample``.
         """
         difference = self.aig.and_(
             care_edge, xor(self.aig, original, replacement)
@@ -58,8 +64,7 @@ class DontCareOracle:
             self.stats.incr("input_dc_trivial")
             return True
         self.stats.incr("input_dc_checks")
-        verdict = self.sweeper.check_constant(difference, False)
-        return verdict
+        return self.sweeper.check_constant(difference, False, counterexample)
 
     def valid_under_odc(
         self,

@@ -12,7 +12,11 @@ The algorithm per direction (simplify f1 under f0's onset):
    (constants and merges modulo complement) valid on all simulated *care*
    patterns;
 2. validate candidates with the input-DC SAT check; validated input-DC
-   replacements compose, so they are applied in one batch rebuild;
+   replacements compose, so they are applied in one batch rebuild.  Every
+   SAT counterexample becomes one more simulation lane, and a later
+   candidate that differs from its node on a care lane is refuted without
+   a SAT call ("any SAT solver solution thus potentially rules-out
+   several non matching couples");
 3. optionally retry failed candidates under the observability-DC rule
    (full output equivalence check); these do not compose and are applied
    one at a time;
@@ -29,6 +33,7 @@ from repro.aig.analysis import cone_size_many
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import or_
 from repro.aig.rewrite import rewrite_root
+from repro.aig.simulate import cone_plan, eval_packed
 from repro.core.dontcare import DontCareOracle, care_set_candidates
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
@@ -46,6 +51,38 @@ class OptimizeOptions:
     max_merge_candidates: int = 4
     max_input_dc_checks: int = 200
     max_odc_checks: int = 30
+
+
+class _Counterexamples:
+    """SAT counterexamples as packed simulation lanes over one cone."""
+
+    def __init__(self, aig: Aig, roots: list[int]) -> None:
+        self.plan = cone_plan(aig, roots)
+        self.lanes = {node: 0 for _, node in self.plan.inputs}
+        self.mask = 0
+        self._values: list[int] | None = None
+
+    def add(self, model: dict[int, bool]) -> None:
+        """Append one lane holding the input assignment ``model``."""
+        lane = self.mask + 1
+        for node in self.lanes:
+            if model.get(node):
+                self.lanes[node] |= lane
+        self.mask |= lane
+        self._values = None
+
+    def refutes(self, care: int, original: int, replacement: int) -> bool:
+        """Does some lane show ``original != replacement`` inside ``care``?"""
+        if not self.mask:
+            return False
+        if self._values is None:
+            self._values = eval_packed(self.plan, self.lanes, self.mask)
+        values, pos, mask = self._values, self.plan.pos, self.mask
+
+        def bits(edge: int) -> int:
+            return values[pos[edge >> 1]] ^ (mask if edge & 1 else 0)
+
+        return bool((bits(original) ^ bits(replacement)) & bits(care))
 
 
 def _simplify_against(
@@ -73,6 +110,7 @@ def _simplify_against(
         max_merge_candidates=options.max_merge_candidates,
     )
     care_edge = edge_not(reference)
+    counterexamples = _Counterexamples(aig, [reference, target])
     replacements: dict[int, int] = {}
     odc_retry: list[tuple[int, int]] = []
     checks = 0
@@ -83,9 +121,16 @@ def _simplify_against(
             if checks >= options.max_input_dc_checks:
                 break
             checks += 1
-            verdict = oracle.valid_under_input_dc(
-                care_edge, 2 * node, candidate
-            )
+            if counterexamples.refutes(care_edge, 2 * node, candidate):
+                stats.incr("input_dc_refuted")
+                verdict = False
+            else:
+                model: dict[int, bool] = {}
+                verdict = oracle.valid_under_input_dc(
+                    care_edge, 2 * node, candidate, model
+                )
+                if model:
+                    counterexamples.add(model)
             if verdict:
                 replacements[node] = candidate
                 stats.incr("input_dc_replacements")
@@ -97,17 +142,19 @@ def _simplify_against(
         simplified = aig.rebuild(target, replacements)
     if options.use_odc:
         odc_checks = 0
+        live = set(aig.cone([simplified]))
         for node, candidate in odc_retry:
             if odc_checks >= options.max_odc_checks:
                 break
             # The node may have disappeared from the rebuilt cone.
-            if node not in set(aig.cone([simplified])):
+            if node not in live:
                 continue
             odc_checks += 1
             transformed = aig.rebuild(simplified, {node: candidate})
             verdict = oracle.valid_under_odc(reference, simplified, transformed)
             if verdict:
                 simplified = transformed
+                live = set(aig.cone([simplified]))
                 stats.incr("odc_replacements")
     return simplified
 

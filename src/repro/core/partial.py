@@ -71,6 +71,8 @@ class PartialQuantifier:
             self.options.use_merge or self.options.use_optimize
         ):
             self.sweeper = SatSweeper(aig)
+        sweeper = self.sweeper
+        sweeper_before = sweeper.stats.as_dict() if sweeper is not None else {}
         current = edge
         quantified: list[int] = []
         aborted: list[int] = []
@@ -107,6 +109,8 @@ class PartialQuantifier:
                 aborted.append(var)
                 stats.incr("aborted")
                 stats.incr("aborted_growth", size_after - size_before)
+        if sweeper is not None:
+            stats.merge_since(sweeper.stats, sweeper_before)
         stats.set("final_size", cone_size(aig, current))
         return PartialOutcome(
             edge=current, quantified=quantified, aborted=aborted, stats=stats

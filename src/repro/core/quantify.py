@@ -148,6 +148,7 @@ def quantify_exists(
     stats.set("initial_size", cone_size(aig, edge))
     if sweeper is None and (options.use_merge or options.use_optimize):
         sweeper = SatSweeper(aig)
+    sweeper_before = sweeper.stats.as_dict() if sweeper is not None else {}
     scheduler = get_scheduler(options.schedule)
     remaining = [v for v in dict.fromkeys(variables)]
     remaining_set = set(remaining)
@@ -174,6 +175,8 @@ def quantify_exists(
         )
         quantified.append(var)
         stats.max("peak_size", cone_size(aig, current))
+    if sweeper is not None:
+        stats.merge_since(sweeper.stats, sweeper_before)
     stats.set("final_size", cone_size(aig, current))
     return QuantifyOutcome(edge=current, quantified=quantified, stats=stats)
 

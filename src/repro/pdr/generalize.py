@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.aig.graph import Aig
-from repro.aig.simulate import _eval_plan, cone_plan
+from repro.aig.simulate import cone_plan, eval_packed
 from repro.circuits.netlist import Netlist
 from repro.pdr.frames import cube_excludes_init, state_to_cube
 from repro.util.stats import StatsBag
@@ -104,7 +104,7 @@ def _flip_candidates(
     for k, node in enumerate(latch_nodes):
         base = mask if state[node] else 0
         input_ints[node] = base ^ (1 << (k + 1))
-    values = _eval_plan(plan, input_ints, mask)
+    values = eval_packed(plan, input_ints, mask)
     pos = plan.pos
     ok = mask
     for edge, required in targets:

@@ -8,12 +8,17 @@ Three escalating ways to find merge points between the cofactor circuits:
 2. BDD sweeping — canonical BDDs under a node budget, cut points past it
    (:mod:`repro.sweep.bddsweep`, after Kuehlmann-Krohm [4]);
 3. SAT-based checks for the remaining compare points, factorized inside a
-   single incremental solver (:mod:`repro.sweep.satsweep`).
+   single incremental solver (:mod:`repro.sweep.satsweep`).  Only a BDD
+   sweep that left cut points has remaining compare points: an exact one
+   (no cut point, no skipped complement) has already merged every pair of
+   equal or complementary nodes, so the merge phase skips this step.
 
 Simulation signatures (:mod:`repro.sweep.signatures`) pre-filter candidate
 pairs for the SAT engine, and every SAT counterexample refines the
 signatures — "any SAT solver solution thus potentially rules-out several
-non matching couples".
+non matching couples".  The don't-care optimization applies the same rule
+to its own checks: :meth:`SatSweeper.check_constant` hands the model back
+to the caller, which refutes later candidates by simulating it.
 """
 
 from repro.sweep.signatures import SignatureTable

@@ -9,6 +9,13 @@ construction continues above it.  Equality of BDDs over cut variables still
 implies functional equivalence (the cut variable can be re-substituted by
 the common function), so merging stays sound; inequality however proves
 nothing, which is why SAT checks follow as step 3.
+
+Without cut points (and with every complement stored) the sweep is
+*exact*: all BDDs are over primary inputs only, so unequal BDDs prove
+inequivalence and the rebuilt cones hold no two nodes with equal or
+complementary functions.  The stats report ``cut_points`` and
+``complement_skipped``; when both are zero a later SAT stage can merge
+nothing (:func:`repro.core.merge.merge_cofactors` skips it).
 """
 
 from __future__ import annotations

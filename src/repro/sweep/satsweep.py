@@ -79,8 +79,18 @@ class SatSweeper:
         self.stats.incr("unknown_checks")
         return None
 
-    def check_constant(self, edge: int, value: bool) -> bool | None:
-        """Is ``edge`` constantly ``value``?  True / False / None."""
+    def check_constant(
+        self,
+        edge: int,
+        value: bool,
+        counterexample: dict[int, bool] | None = None,
+    ) -> bool | None:
+        """Is ``edge`` constantly ``value``?  True / False / None.
+
+        When the solver answers SAT, the model's input assignment is
+        written into ``counterexample`` (if given).  Every other outcome
+        leaves it untouched, so a caller never sees a stale model.
+        """
         target = edge_not(edge) if value else edge
         if target == FALSE:
             return True
@@ -94,17 +104,22 @@ class SatSweeper:
             self.stats.incr("proved_constant")
             return True
         if result is SolveResult.SAT:
-            self._learn_counterexample()
+            self._learn_counterexample(counterexample)
             return False
         self.stats.incr("unknown_checks")
         return None
 
-    def _learn_counterexample(self) -> None:
-        if self.signatures is None:
+    def _learn_counterexample(
+        self, sink: dict[int, bool] | None = None
+    ) -> None:
+        if self.signatures is None and sink is None:
             return
         pattern = self.mapper.model_inputs()
-        self.signatures.add_pattern(pattern)
-        self.stats.incr("counterexamples_learned")
+        if sink is not None:
+            sink.update(pattern)
+        if self.signatures is not None:
+            self.signatures.add_pattern(pattern)
+            self.stats.incr("counterexamples_learned")
 
     # ------------------------------------------------------------------ #
     # Forward sweeping

@@ -90,6 +90,17 @@ class StatsBag:
             else:
                 self.incr(key, value)
 
+    def merge_since(self, other: "StatsBag", before: dict[str, float]) -> None:
+        """Fold in what the counters of ``other`` gained since ``before``.
+
+        ``before`` is an :meth:`as_dict` snapshot of ``other``, a bag of
+        counters only (a gauge has no meaningful difference).
+        """
+        for key, value in other:
+            gained = value - before.get(key, 0)
+            if gained:
+                self.incr(key, gained)
+
     def report(self) -> str:
         lines = [f"{key:<40} {value:g}" for key, value in self]
         return "\n".join(lines)

@@ -20,6 +20,7 @@ from repro.circuits.combinational import (
     ripple_adder,
 )
 from repro.core.merge import MergeOptions, merge_cofactors
+from repro.core.partial import PartialQuantifier
 from repro.core.quantify import (
     QuantifyOptions,
     quantify_exists,
@@ -27,6 +28,7 @@ from repro.core.quantify import (
     quantify_forall,
 )
 from repro.errors import AigError
+from repro.sweep.satsweep import SatSweeper
 from tests.conftest import build_random_aig
 
 PRESETS = ("shannon", "hash", "bdd", "sat", "full")
@@ -177,6 +179,50 @@ class TestAlgebraicIdentities:
         outcome = quantify_exists(aig, root, [inputs[0] >> 1])
         assert "final_size" in outcome.stats
         assert outcome.stats.get("vars_quantified") >= 0
+
+
+class TestSweeperStats:
+    """A shared sweeper's counters are reported once per call."""
+
+    @pytest.mark.parametrize("preset", ["sat", "full"])
+    def test_fresh_sweeper_counters_reported_once(self, preset):
+        aig, inputs, root = comparator(5)
+        sweeper = SatSweeper(aig)
+        outcome = quantify_exists(
+            aig, root, [e >> 1 for e in inputs[:6]],
+            QuantifyOptions.preset(preset), sweeper=sweeper,
+        )
+        assert sweeper.stats.get("sat_checks") > 0
+        for key, value in sweeper.stats:
+            assert outcome.stats.get(key) == value, key
+
+    def test_reused_sweeper_reports_the_call_delta(self):
+        aig, inputs, root = comparator(5)
+        variables = [e >> 1 for e in inputs[:6]]
+        sweeper = SatSweeper(aig)
+        options = QuantifyOptions.preset("full")
+        quantify_exists(aig, root, variables[:3], options, sweeper=sweeper)
+        before = sweeper.stats.as_dict()
+        outcome = quantify_exists(
+            aig, root ^ 1, variables, options, sweeper=sweeper
+        )
+        gained = {
+            key: value - before.get(key, 0) for key, value in sweeper.stats
+        }
+        assert gained["sat_checks"] > 0
+        for key, value in gained.items():
+            assert outcome.stats.get(key) == value, key
+
+    def test_partial_quantifier_counters_reported_once(self):
+        aig, inputs, root = comparator(5)
+        sweeper = SatSweeper(aig)
+        quantifier = PartialQuantifier(
+            aig, QuantifyOptions.preset("full"), sweeper=sweeper
+        )
+        outcome = quantifier.quantify(root, [e >> 1 for e in inputs[:6]])
+        assert sweeper.stats.get("sat_checks") > 0
+        for key, value in sweeper.stats:
+            assert outcome.stats.get(key) == value, key
 
 
 class TestMergePhase:
