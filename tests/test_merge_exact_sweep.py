@@ -56,7 +56,6 @@ def test_sat_stage_finds_nothing_after_exact_sweep(name):
         backward = SatSweeper(aig)
         new1, merge_map = backward.merge_pair_backward(swept0, swept1)
         assert merge_map == {} and new1 == swept1
-        assert backward.stats.get("backward_merges") == 0
 
         forward = SatSweeper(aig)
         roots, rebuilt = forward.sweep([swept0, swept1])
