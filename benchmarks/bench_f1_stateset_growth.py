@@ -12,6 +12,7 @@ from repro.circuits import generators as G
 from repro.core.quantify import QuantifyOptions
 from repro.mc.reach_aig import BackwardReachability, ReachOptions
 from repro.mc.reach_bdd import bdd_backward_reachability
+from repro.obs import Tracer, probes
 
 DESIGNS = {
     "mod_counter_bug_5_24": lambda: G.mod_counter(5, 24, safe=False),
@@ -19,26 +20,31 @@ DESIGNS = {
 }
 
 
-def frontier_series(stats) -> list[int]:
-    series = []
-    index = 1
-    while f"frontier_size_{index}" in stats:
-        series.append(int(stats.get(f"frontier_size_{index}")))
-        index += 1
-    return series
+def frontier_series(tracer: Tracer) -> list[int]:
+    return [
+        int(record.value)
+        for record in tracer.counters
+        if record.name == "reach.frontier_size"
+    ]
 
 
 @pytest.mark.parametrize("design", list(DESIGNS))
 @pytest.mark.parametrize("preset", ["shannon", "full"])
 def test_f1_aig_series(benchmark, record_row, design, preset):
-    def run():
-        return BackwardReachability(
-            DESIGNS[design](),
-            ReachOptions(quantify=QuantifyOptions.preset(preset)),
-        ).run()
+    tracer = Tracer(tick=0.0)
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    series = frontier_series(result.stats)
+    def run():
+        probes.enable(tracer)
+        try:
+            return BackwardReachability(
+                DESIGNS[design](),
+                ReachOptions(quantify=QuantifyOptions.preset(preset)),
+            ).run()
+        finally:
+            probes.disable()
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    series = frontier_series(tracer)
     benchmark.extra_info.update(
         {
             "design": design,

@@ -3,19 +3,24 @@
 Simulation drives the sweeping engines: random patterns partition nodes into
 candidate-equivalence classes, and every SAT counterexample is fed back as
 one more pattern ("any SAT solver solution thus potentially rules-out
-several non matching couples").  The public interface speaks numpy
-``uint64`` arrays (one word simulates 64 patterns at once), but the kernel
-itself runs on a *levelized cone plan*: one topological pass over flat
-integer arrays, with each node's 64-way lanes packed into a single Python
-integer (``words * 64`` bits wide).  A packed-int AND/XOR is one arbitrary-
-precision machine op, so the per-node cost is a few interpreter ops instead
-of a numpy ufunc dispatch, and there are no per-node dict lookups.
+several non matching couples").  Patterns are *lanes* of packed Python
+integers: bit ``k`` of an input's integer is its value in pattern ``k``,
+and a ``mask`` with one bit per lane bounds the width, so random words and
+single counterexample lanes live side by side in one integer.  The kernel
+runs on a *levelized cone plan*: one topological pass over flat integer
+arrays, where a packed-int AND/XOR is one arbitrary-precision machine op —
+a few interpreter ops per node and no per-node dict lookups.
+
+numpy appears only inside :class:`RandomLanes`, the seeded pattern source:
+it draws ``uint64`` words per input and packs them once.
 
 Plans are cached on the :class:`~repro.aig.graph.Aig` instance keyed by the
-target node set.  The manager is append-only, so a plan — the cone's
-topological order compiled to positional fanin/negation columns — stays
-valid forever; repeated simulations of the same targets (PDR's ternary
-generalization, FRAIG resimulation) skip the cone walk entirely.
+target nodes in caller order, which fixes the plan's node order: the cone
+of the *last* target comes first, so it is a prefix of :attr:`ConePlan.nodes`.
+The manager is append-only, so a plan — the cone's topological order
+compiled to positional fanin/negation columns — stays valid forever;
+repeated simulations of the same targets (PDR's ternary generalization,
+FRAIG resimulation, one quantification step) skip the cone walk entirely.
 """
 
 from __future__ import annotations
@@ -70,8 +75,12 @@ class ConePlan:
 
 
 def cone_plan(aig: Aig, edges: Sequence[int]) -> ConePlan:
-    """The (cached) levelized plan for the cone of ``edges``."""
-    key = tuple(sorted({edge >> 1 for edge in edges}))
+    """The (cached) levelized plan for the cone of ``edges``.
+
+    Nodes are keyed in caller order (duplicates dropped), so the plan of
+    ``[reference, target]`` lists the target's cone first.
+    """
+    key = tuple(dict.fromkeys(edge >> 1 for edge in edges))
     plans = aig.__dict__.get("_sim_plans")
     if plans is None:
         plans = aig.__dict__["_sim_plans"] = {}
@@ -82,21 +91,6 @@ def cone_plan(aig: Aig, edges: Sequence[int]) -> ConePlan:
         plan = ConePlan(aig, key)
         plans[key] = plan
     return plan
-
-
-def _pack(vector: np.ndarray | Sequence[int]) -> int:
-    """A uint64 vector packed into one little-endian Python integer."""
-    return int.from_bytes(
-        np.ascontiguousarray(np.asarray(vector, dtype="<u8")).tobytes(),
-        "little",
-    )
-
-
-def _unpack(value: int, words: int) -> np.ndarray:
-    """A packed integer back to a fresh, writable uint64 vector."""
-    return np.frombuffer(
-        bytearray(value.to_bytes(words * 8, "little")), dtype="<u8"
-    ).view(np.uint64)
 
 
 def eval_packed(
@@ -125,72 +119,70 @@ def eval_packed(
     return values
 
 
+def _checked(input_lanes: Mapping[int, int], mask: int) -> Mapping[int, int]:
+    for lane in input_lanes.values():
+        if lane < 0 or lane & ~mask:
+            raise AigError("input lanes must fit inside the lane mask")
+    return input_lanes
+
+
 def simulate(
     aig: Aig,
-    input_vectors: Mapping[int, np.ndarray],
+    input_lanes: Mapping[int, int],
     targets: Sequence[int],
-) -> dict[int, np.ndarray]:
-    """Simulate the cones of ``targets`` under the given input vectors.
+    mask: int,
+) -> dict[int, int]:
+    """Simulate the cones of ``targets`` under the given input lanes.
 
-    ``input_vectors`` maps input *nodes* to uint64 arrays (all of one equal
-    length).  Returns a map from each target *edge* to its output vector.
-    Inputs missing from the map default to constant zero.
+    ``input_lanes`` maps input *nodes* to packed lane integers inside
+    ``mask`` (one bit per lane).  Returns a map from each target *edge* to
+    its output lanes.  Inputs missing from the map default to zero.
     """
-    words = None
-    for vector in input_vectors.values():
-        if words is None:
-            words = len(vector)
-        elif len(vector) != words:
-            raise AigError("input vectors must all have the same length")
-    if words is None:
-        words = 1
     plan = cone_plan(aig, targets)
-    mask = (1 << (words * 64)) - 1
-    input_ints = {
-        node: _pack(vector) for node, vector in input_vectors.items()
-    }
-    values = eval_packed(plan, input_ints, mask)
+    values = eval_packed(plan, _checked(input_lanes, mask), mask)
     pos = plan.pos
-    result: dict[int, np.ndarray] = {}
-    for edge in targets:
-        value = values[pos.get(edge >> 1, 0)]
-        if edge & 1:
-            value ^= mask
-        result[edge] = _unpack(value, words)
-    return result
+    return {
+        edge: values[pos.get(edge >> 1, 0)] ^ (mask if edge & 1 else 0)
+        for edge in targets
+    }
 
 
 def simulate_nodes(
     aig: Aig,
-    input_vectors: Mapping[int, np.ndarray],
+    input_lanes: Mapping[int, int],
     targets: Sequence[int],
-) -> dict[int, np.ndarray]:
-    """Like :func:`simulate` but returns *node* vectors for whole cones.
+    mask: int,
+) -> dict[int, int]:
+    """Like :func:`simulate` but returns *node* lanes for whole cones.
 
     The sweeping engines need per-node signatures, not just root values.
     """
-    words = max((len(v) for v in input_vectors.values()), default=1)
     plan = cone_plan(aig, targets)
-    mask = (1 << (words * 64)) - 1
-    input_ints = {
-        node: _pack(vector) for node, vector in input_vectors.items()
-    }
-    values = eval_packed(plan, input_ints, mask)
-    return {
-        node: _unpack(values[index], words)
-        for node, index in plan.pos.items()
-    }
+    values = eval_packed(plan, _checked(input_lanes, mask), mask)
+    return dict(zip(plan.nodes, values))
 
 
-def random_input_vectors(
-    aig: Aig, words: int, seed: int = 0
-) -> dict[int, np.ndarray]:
-    """Uniform random simulation vectors for every input of the manager."""
-    rng = np.random.default_rng(seed)
-    return {
-        node: rng.integers(0, 2**64, size=words, dtype=np.uint64)
-        for node in aig.inputs
-    }
+class RandomLanes:
+    """Seeded uniform random lanes: the one place numpy draws patterns.
+
+    :meth:`draw` gives each node ``words`` uint64 words, in the order
+    given, from one generator stream, packed little-endian into a
+    ``64 * words``-lane integer.  One draw of all the words is the same
+    stream as one draw per node.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+
+    def draw(self, nodes: Sequence[int], words: int) -> dict[int, int]:
+        data = self._rng.integers(
+            0, 2**64, size=len(nodes) * words, dtype=np.uint64
+        ).astype("<u8").tobytes()
+        step = 8 * words
+        return {
+            node: int.from_bytes(data[k * step:(k + 1) * step], "little")
+            for k, node in enumerate(nodes)
+        }
 
 
 def eval_edge(aig: Aig, edge: int, assignment: Mapping[int, bool]) -> bool:

@@ -17,16 +17,17 @@ whenever
 
 Candidate ``n'`` are constants (redundancy removal) and existing nodes
 modulo complementation (merge), pre-filtered by care-set simulation so the
-SAT engine only sees plausible pairs.
+SAT engine only sees plausible pairs.  One :class:`CareLanes` per
+direction holds that simulation: random lanes and, above them, every SAT
+counterexample found so far, all packed into the same integers over one
+cone plan.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.aig.graph import FALSE, TRUE, Aig, edge_not
+from repro.aig.graph import FALSE, TRUE, Aig
 from repro.aig.ops import or_, xor
-from repro.aig.simulate import simulate_nodes
+from repro.aig.simulate import RandomLanes, cone_plan, simulate_nodes
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
@@ -87,51 +88,98 @@ class DontCareOracle:
         return self.sweeper.check_constant(miter, False)
 
 
+class CareLanes:
+    """Packed simulation lanes over the cone of ``[reference, target]``.
+
+    One plan serves the whole direction.  It is built in caller order, so
+    the target's cone is the prefix of its node order
+    (:attr:`target_cone`).  The low ``64 * words`` lanes are seeded random
+    patterns, drawn per cone input in plan order; :meth:`add` appends one
+    lane per SAT counterexample above them, and only those lanes refute
+    (:meth:`refutes`).
+    """
+
+    def __init__(
+        self, aig: Aig, reference: int, target: int, words: int, seed: int
+    ) -> None:
+        self.aig = aig
+        self.roots = [reference, target]
+        self.plan = cone_plan(aig, self.roots)
+        self.target_cone = self.plan.nodes[1:self.plan.pos[target >> 1] + 1]
+        self.lanes = RandomLanes(seed).draw(
+            [node for _, node in self.plan.inputs], words
+        )
+        self.mask = self.random_mask = (1 << (64 * words)) - 1
+        self.values: dict[int, int] | None = None
+
+    def bits(self, edge: int) -> int:
+        """The lanes of ``edge`` (simulating first if lanes changed)."""
+        if self.values is None:
+            self.values = simulate_nodes(
+                self.aig, self.lanes, self.roots, self.mask
+            )
+        return self.values[edge >> 1] ^ (self.mask if edge & 1 else 0)
+
+    def add(self, model: dict[int, bool]) -> None:
+        """Append one lane holding the input assignment ``model``."""
+        lane = self.mask + 1
+        for node in self.lanes:
+            if model.get(node):
+                self.lanes[node] |= lane
+        self.mask |= lane
+        self.values = None
+
+    def refutes(self, care: int, original: int, replacement: int) -> bool:
+        """Whether a counterexample lane inside ``care`` separates the
+        ``original`` and ``replacement`` edges."""
+        if self.mask == self.random_mask:
+            return False
+        bits = self.bits
+        return bool(
+            (bits(original) ^ bits(replacement)) & bits(care)
+            & ~self.random_mask
+        )
+
+
 def care_set_candidates(
-    aig: Aig,
-    f0: int,
-    f1: int,
-    input_vectors: dict[int, np.ndarray],
-    max_merge_candidates: int = 4,
+    lanes: CareLanes, max_merge_candidates: int = 4
 ) -> dict[int, list[int]]:
     """Simulation-based candidate transformations for nodes of f1's cone.
 
-    Patterns where ``f0`` is 1 are don't-cares, so signatures are compared
-    only on care patterns (``f0 == 0``).  Returns node -> candidate
-    replacement edges, most promising first: constants, then merges with
-    other nodes (modulo complement).  Purely heuristic — every candidate
-    still goes through the :class:`DontCareOracle`.
+    ``lanes`` simulates ``[f0, f1]``.  Patterns where ``f0`` is 1 are
+    don't-cares, so signatures are compared only on random care lanes
+    (``f0 == 0``).  Returns node -> candidate replacement edges, most
+    promising first: constants, then merges with other nodes (modulo
+    complement).  Purely heuristic — every candidate still goes through
+    the :class:`DontCareOracle`.
     """
-    values = simulate_nodes(aig, input_vectors, [f0, f1])
-    sig_f0 = values[f0 >> 1]
-    if f0 & 1:
-        sig_f0 = ~sig_f0
-    care = ~sig_f0  # patterns where f0 == 0
-    f1_cone = [n for n in aig.cone([f1]) if aig.is_and(n)]
+    aig = lanes.aig
+    care = lanes.bits(lanes.roots[0] ^ 1) & lanes.random_mask
+    values = lanes.values
     # Index care-masked signatures of *all* cone nodes (f0's included —
     # merging into f0's cone is where the sharing payoff is) so merge
     # candidates can be found in both polarities.
-    by_masked: dict[bytes, list[tuple[int, bool]]] = {}
-    for node in aig.cone([f0, f1]):
-        by_masked.setdefault(
-            (values[node] & care).tobytes(), []
-        ).append((node, False))
-        by_masked.setdefault(
-            (~values[node] & care).tobytes(), []
-        ).append((node, True))
+    by_masked: dict[int, list[int]] = {}
+    for node in lanes.plan.nodes[1:]:
+        value = values[node]
+        by_masked.setdefault(value & care, []).append(2 * node)
+        by_masked.setdefault(~value & care, []).append(2 * node + 1)
     candidates: dict[int, list[int]] = {}
-    for node in f1_cone:
+    for node in lanes.target_cone:
+        if not aig.is_and(node):
+            continue
+        value = values[node]
+        masked = value & care
         entries: list[int] = []
-        masked = values[node] & care
-        if not masked.any():
+        if not masked:
             entries.append(FALSE)
-        if not ((~values[node]) & care).any():
+        if not ~value & care:
             entries.append(TRUE)
         added = 0
-        for other, complemented in by_masked.get(masked.tobytes(), ()):
-            if other == node or other == 0:
+        for other in by_masked.get(masked, ()):
+            if other >> 1 == node:
                 continue
-            entries.append((2 * other) ^ int(complemented))
+            entries.append(other)
             added += 1
             if added >= max_merge_candidates:
                 break

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.aig.analysis import cone_size_many
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import or_
 from repro.aig.rewrite import rewrite_root
-from repro.aig.simulate import cone_plan, eval_packed
-from repro.core.dontcare import DontCareOracle, care_set_candidates
+from repro.core.dontcare import CareLanes, DontCareOracle, care_set_candidates
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
@@ -53,38 +50,6 @@ class OptimizeOptions:
     max_odc_checks: int = 30
 
 
-class _Counterexamples:
-    """SAT counterexamples as packed simulation lanes over one cone."""
-
-    def __init__(self, aig: Aig, roots: list[int]) -> None:
-        self.plan = cone_plan(aig, roots)
-        self.lanes = {node: 0 for _, node in self.plan.inputs}
-        self.mask = 0
-        self._values: list[int] | None = None
-
-    def add(self, model: dict[int, bool]) -> None:
-        """Append one lane holding the input assignment ``model``."""
-        lane = self.mask + 1
-        for node in self.lanes:
-            if model.get(node):
-                self.lanes[node] |= lane
-        self.mask |= lane
-        self._values = None
-
-    def refutes(self, care: int, original: int, replacement: int) -> bool:
-        """Does some lane show ``original != replacement`` inside ``care``?"""
-        if not self.mask:
-            return False
-        if self._values is None:
-            self._values = eval_packed(self.plan, self.lanes, self.mask)
-        values, pos, mask = self._values, self.plan.pos, self.mask
-
-        def bits(edge: int) -> int:
-            return values[pos[edge >> 1]] ^ (mask if edge & 1 else 0)
-
-        return bool((bits(original) ^ bits(replacement)) & bits(care))
-
-
 def _simplify_against(
     aig: Aig,
     reference: int,
@@ -94,34 +59,22 @@ def _simplify_against(
     stats: StatsBag,
 ) -> int:
     """Simplify ``target`` using the onset of ``reference`` as DC set."""
-    rng = np.random.default_rng(options.sim_seed)
-    cone_inputs = [
-        node for node in aig.cone([reference, target]) if aig.is_input(node)
-    ]
-    input_vectors = {
-        node: rng.integers(0, 2**64, size=options.sim_words, dtype=np.uint64)
-        for node in cone_inputs
-    }
-    candidates = care_set_candidates(
-        aig,
-        reference,
-        target,
-        input_vectors,
-        max_merge_candidates=options.max_merge_candidates,
+    lanes = CareLanes(
+        aig, reference, target, options.sim_words, options.sim_seed
     )
+    candidates = care_set_candidates(lanes, options.max_merge_candidates)
     care_edge = edge_not(reference)
-    counterexamples = _Counterexamples(aig, [reference, target])
     replacements: dict[int, int] = {}
     odc_retry: list[tuple[int, int]] = []
     checks = 0
-    for node in aig.cone([target]):
-        if node not in candidates or not aig.is_and(node):
+    for node in lanes.target_cone:
+        if node not in candidates:
             continue
         for candidate in candidates[node]:
             if checks >= options.max_input_dc_checks:
                 break
             checks += 1
-            if counterexamples.refutes(care_edge, 2 * node, candidate):
+            if lanes.refutes(care_edge, 2 * node, candidate):
                 stats.incr("input_dc_refuted")
                 verdict = False
             else:
@@ -130,7 +83,7 @@ def _simplify_against(
                     care_edge, 2 * node, candidate, model
                 )
                 if model:
-                    counterexamples.add(model)
+                    lanes.add(model)
             if verdict:
                 replacements[node] = candidate
                 stats.incr("input_dc_replacements")

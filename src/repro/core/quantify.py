@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from repro.aig.analysis import cone_size
 from repro.aig.graph import Aig
 from repro.aig.ops import cofactor, or_, support
+from repro.aig.simulate import cone_plan
 from repro.core.merge import MergeOptions, merge_cofactors
 from repro.core.optimize import OptimizeOptions, optimize_disjunction
 from repro.core.schedule import get_scheduler
@@ -122,6 +122,10 @@ def quantify_exists_one(
     return result
 
 
+def _and_count(aig: Aig, edge: int) -> int:
+    return len(cone_plan(aig, (edge,)).ops)
+
+
 def quantify_exists(
     aig: Aig,
     edge: int,
@@ -141,11 +145,14 @@ def quantify_exists(
     order (e.g. one slice of a partitioned-image plan from
     :func:`repro.core.schedule.schedule_variable_order`); variables not
     mentioned in ``order`` fall back to caller order.
+
+    Support, AND counts and the scheduler's dependence costs all read the
+    one cached cone plan of the current edge.
     """
     if options is None:
         options = QuantifyOptions()
     stats = StatsBag()
-    stats.set("initial_size", cone_size(aig, edge))
+    stats.set("initial_size", _and_count(aig, edge))
     if sweeper is None and (options.use_merge or options.use_optimize):
         sweeper = SatSweeper(aig)
     sweeper_before = sweeper.stats.as_dict() if sweeper is not None else {}
@@ -174,10 +181,10 @@ def quantify_exists(
             aig, current, var, options, sweeper=sweeper, stats=stats
         )
         quantified.append(var)
-        stats.max("peak_size", cone_size(aig, current))
+        stats.max("peak_size", _and_count(aig, current))
     if sweeper is not None:
         stats.merge_since(sweeper.stats, sweeper_before)
-    stats.set("final_size", cone_size(aig, current))
+    stats.set("final_size", _and_count(aig, current))
     return QuantifyOutcome(edge=current, quantified=quantified, stats=stats)
 
 

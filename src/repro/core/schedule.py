@@ -11,7 +11,8 @@ Heuristics (all return the *next* variable to quantify):
 
 * ``static``         — caller-given order, no analysis;
 * ``min_dependence`` — fewest AND nodes structurally depending on the
-  variable (the default greedy schedule; cheap, one cone walk);
+  variable (the default greedy schedule; cheap, one pass over the cached
+  cone plan serves every candidate);
 * ``min_level``      — shallowest variable first (its cofactors share the
   most top logic);
 * ``cofactor_probe`` — simulate both cofactors on random patterns and pick
@@ -21,13 +22,12 @@ Heuristics (all return the *next* variable to quantify):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.aig.graph import Aig
-from repro.aig.simulate import simulate
+from repro.aig.simulate import RandomLanes, cone_plan, simulate
 from repro.errors import AigError
 
 Scheduler = Callable[[Aig, int, Sequence[int]], int]
@@ -44,9 +44,7 @@ def schedule_min_dependence(
     aig: Aig, edge: int, candidates: Sequence[int]
 ) -> int:
     """The variable with the fewest structurally dependent AND nodes."""
-    return min(
-        candidates, key=lambda var: dependence_cost(aig, edge, var)
-    )
+    return min(candidates, key=dependence_costs(aig, edge, candidates).get)
 
 
 def schedule_min_level(
@@ -57,19 +55,19 @@ def schedule_min_level(
     A variable only feeding shallow logic perturbs a small top slice of
     the cone; its two cofactors share everything below.
     """
-    def max_dependent_level(var: int) -> int:
-        dependent: set[int] = {var}
-        deepest = 0
-        for node in aig.cone([edge]):
-            if not aig.is_and(node):
-                continue
-            f0, f1 = aig.fanins(node)
-            if (f0 >> 1) in dependent or (f1 >> 1) in dependent:
-                dependent.add(node)
-                deepest = max(deepest, aig.level(node))
-        return deepest
-
-    return min(candidates, key=max_dependent_level)
+    deepest_by_mask: dict[int, int] = {}
+    for mask, node in _dependents(aig, edge, candidates):
+        level = aig.level(node)
+        if level > deepest_by_mask.get(mask, 0):
+            deepest_by_mask[mask] = level
+    deepest = {
+        var: max(
+            (level for mask, level in deepest_by_mask.items() if mask >> k & 1),
+            default=0,
+        )
+        for k, var in enumerate(candidates)
+    }
+    return min(candidates, key=deepest.get)
 
 
 def schedule_cofactor_probe(
@@ -85,26 +83,15 @@ def schedule_cofactor_probe(
     probability (similar cofactors)" case, where quantification is cheap.
     Ties break towards lower dependence cost.
     """
-    rng = np.random.default_rng(seed)
-    input_nodes = [n for n in aig.cone([edge]) if aig.is_input(n)]
-    vectors = {
-        node: rng.integers(0, 2**64, size=words, dtype=np.uint64)
-        for node in input_nodes
-    }
-    all_ones = np.full(words, ~np.uint64(0), dtype=np.uint64)
-    zeros = np.zeros(words, dtype=np.uint64)
+    plan = cone_plan(aig, (edge,))
+    lanes = RandomLanes(seed).draw([node for _, node in plan.inputs], words)
+    mask = (1 << (64 * words)) - 1
+    costs = dependence_costs(aig, edge, candidates)
 
     def disagreement(var: int) -> tuple[int, int]:
-        low = dict(vectors)
-        low[var] = zeros
-        high = dict(vectors)
-        high[var] = all_ones
-        value_low = simulate(aig, low, [edge])[edge]
-        value_high = simulate(aig, high, [edge])[edge]
-        differing = int(
-            sum(int(w).bit_count() for w in (value_low ^ value_high))
-        )
-        return differing, dependence_cost(aig, edge, var)
+        low = simulate(aig, {**lanes, var: 0}, [edge], mask)[edge]
+        high = simulate(aig, {**lanes, var: mask}, [edge], mask)[edge]
+        return (low ^ high).bit_count(), costs[var]
 
     return min(candidates, key=disagreement)
 
@@ -211,15 +198,41 @@ def plan_partitioned_quantification(
     return steps
 
 
+def _dependents(
+    aig: Aig, edge: int, variables: Sequence[int]
+) -> list[tuple[int, int]]:
+    """``(mask, node)`` per AND node of the cone depending on a variable.
+
+    Bit ``k`` of ``mask`` is set when ``variables[k]`` lies in the node's
+    cone.  One pass over the cached cone plan serves every variable.
+    """
+    plan = cone_plan(aig, (edge,))
+    deps = [0] * plan.size
+    for k, var in enumerate(variables):
+        index = plan.pos.get(var)
+        if index:
+            deps[index] = 1 << k
+    nodes = plan.nodes
+    dependent: list[tuple[int, int]] = []
+    for dst, src0, _neg0, src1, _neg1 in plan.ops:
+        mask = deps[src0] | deps[src1]
+        if mask:
+            deps[dst] |= mask
+            dependent.append((mask, nodes[dst]))
+    return dependent
+
+
+def dependence_costs(
+    aig: Aig, edge: int, variables: Sequence[int]
+) -> dict[int, int]:
+    """How many AND nodes of the cone structurally depend on each variable."""
+    tally = Counter(mask for mask, _ in _dependents(aig, edge, variables))
+    return {
+        var: sum(count for mask, count in tally.items() if mask >> k & 1)
+        for k, var in enumerate(variables)
+    }
+
+
 def dependence_cost(aig: Aig, edge: int, var_node: int) -> int:
     """How many AND nodes of the cone structurally depend on the variable."""
-    dependent: set[int] = {var_node}
-    count = 0
-    for node in aig.cone([edge]):
-        if not aig.is_and(node):
-            continue
-        f0, f1 = aig.fanins(node)
-        if (f0 >> 1) in dependent or (f1 >> 1) in dependent:
-            dependent.add(node)
-            count += 1
-    return count
+    return dependence_costs(aig, edge, [var_node])[var_node]

@@ -40,6 +40,7 @@ from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.preimage_sat import allsat_quantify
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.trace import concretize_suffix, find_violation_inputs
+from repro.obs import probes as _obs
 from repro.sat.solver import SolveResult
 from repro.util.stats import StatsBag
 
@@ -201,7 +202,8 @@ class BackwardReachability:
             preimage = self._preimage(frontier)
             new_frontier = aig.and_(preimage, edge_not(reached))
             frontier_size = cone_size(aig, new_frontier)
-            self.stats.set(f"frontier_size_{iteration}", frontier_size)
+            if _obs.ENABLED:
+                _obs.sample("reach.frontier_size", frontier_size)
             self.stats.max("peak_frontier_size", frontier_size)
             self.stats.max("peak_reached_size", cone_size(aig, reached))
             witness = self._satisfiable(new_frontier)

@@ -37,6 +37,7 @@ from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.trace import find_violation_inputs
+from repro.obs import probes as _obs
 from repro.sat.solver import SolveResult
 from repro.util.stats import StatsBag
 
@@ -148,7 +149,8 @@ class ForwardReachability:
             self.stats.merge(image.stats)
             new_frontier = aig.and_(image.edge, edge_not(reached))
             frontier_size = cone_size(aig, new_frontier)
-            self.stats.set(f"frontier_size_{iteration}", frontier_size)
+            if _obs.ENABLED:
+                _obs.sample("reach.frontier_size", frontier_size)
             self.stats.max("peak_frontier_size", frontier_size)
             if self._satisfiable_state(new_frontier) is None:
                 self.stats.set("iterations", iteration)

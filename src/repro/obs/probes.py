@@ -42,6 +42,8 @@ series                  meaning
 ``pdr.frames``          frame count
 ``itp.interpolant_nodes``  AND nodes of the latest interpolant
 ``itp.reach_nodes``     AND nodes of the accumulated reached set
+``reach.frontier_size`` AND nodes of the newest ``reach_aig``/``reach_aig_fwd``
+                        frontier
 ``cnc.open_cubes``      cubes still waiting for a verdict
 ``cnc.solved_cubes``    cubes the conquer stage has finished
 ``cnc.refuted_cubes``   cubes closed by the lookahead, no solver needed

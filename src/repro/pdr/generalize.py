@@ -8,7 +8,7 @@ Two independent widenings keep PDR's reasoning per-query cheap:
   tentatively set to X and the targets re-evaluated in three-valued
   logic; latches whose X never reaches a target output are dropped, so
   one SAT model covers a whole cube of states.  A bit-parallel binary
-  pre-filter (one :func:`repro.aig.simulate.simulate` call evaluating
+  pre-filter (one :func:`repro.aig.simulate.eval_packed` pass evaluating
   every single-latch flip at once) rules out the latches that provably
   matter before the exact ternary walk runs.  The expansion guarantee —
   *every* completion of the cube reaches the targets under the fixed
@@ -92,8 +92,8 @@ def _flip_candidates(
     """Latches whose single flip leaves every target at its required
     value — the only possible ternary drops, found with one bit-parallel
     simulation (pattern 0 is the base assignment, pattern k flips the
-    k-th latch).  Lanes are packed integers straight into the plan
-    evaluator — no numpy round-trip."""
+    k-th latch).  Lanes are packed integers, one bit per pattern, fed
+    straight into the plan evaluator."""
     latch_nodes = netlist.latch_nodes
     patterns = len(latch_nodes) + 1
     mask = (1 << patterns) - 1

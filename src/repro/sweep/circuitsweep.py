@@ -104,7 +104,7 @@ class CircuitSweeper:
         signatures = self.signatures
         signatures.freeze()
         rebuilt: dict[int, int] = {0: FALSE}
-        reps: dict[bytes, list[int]] = {}
+        reps: dict[int, list[int]] = {}
         for node in aig.cone(roots):
             if aig.is_input(node):
                 rebuilt[node] = 2 * node

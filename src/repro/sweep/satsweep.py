@@ -148,7 +148,7 @@ class SatSweeper:
         rebuilt: dict[int, int] = {0: FALSE}
         # Candidate classes over *original* nodes; reps store the
         # phase-normalized rebuilt edge.
-        reps: dict[bytes, list[int]] = {}
+        reps: dict[int, list[int]] = {}
         for node in aig.cone(roots):
             if aig.is_input(node):
                 rebuilt[node] = 2 * node
@@ -237,8 +237,8 @@ class SatSweeper:
                 continue  # only AND nodes of b's cone get merged
             sig_a = signatures.edge_signature(edge_a)
             sig_b = signatures.edge_signature(edge_b)
-            compatible_equal = bool((sig_a == sig_b).all())
-            compatible_compl = bool((sig_a == ~sig_b).all())
+            compatible_equal = sig_a == sig_b
+            compatible_compl = sig_a == sig_b ^ signatures.mask
             if compatible_equal or compatible_compl:
                 target = edge_a if compatible_equal else edge_not(edge_a)
                 verdict = self.check_equal(target, edge_b)

@@ -1,8 +1,8 @@
 """Random-simulation signatures for candidate-equivalence detection.
 
 Two nodes can only be functionally equivalent (or antivalent) if their
-simulation vectors agree (or are complements) on every pattern.  The table
-maintains per-node vectors, groups nodes into candidate classes by
+simulation lanes agree (or are complements) on every pattern.  The table
+maintains per-node packed lanes, groups nodes into candidate classes by
 phase-normalized signature, and accepts counterexample patterns from failed
 SAT checks to split classes — the feedback loop the paper describes.
 """
@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.aig.graph import Aig
-from repro.aig.simulate import simulate_nodes
+from repro.aig.simulate import RandomLanes, cone_plan, simulate_nodes
 
 _WORD_BITS = 64
 
@@ -22,9 +20,9 @@ _WORD_BITS = 64
 class SignatureTable:
     """Per-node simulation signatures over a growing pattern set.
 
-    Patterns are stored column-wise as uint64 words per input.  New
-    counterexample patterns are buffered and applied in batches of 64
-    (one extra word) to keep numpy overhead low.
+    Each input holds ``64 * words`` packed lanes.  New counterexample
+    patterns are buffered and applied in batches of 64 (one extra word),
+    so a frozen sweep sees stable keys and resimulation stays rare.
     """
 
     def __init__(
@@ -36,16 +34,17 @@ class SignatureTable:
     ) -> None:
         self.aig = aig
         self.roots = list(roots)
-        self._rng = np.random.default_rng(seed)
-        self._inputs = [
-            node for node in aig.cone(self.roots) if aig.is_input(node)
-        ]
-        self._input_vectors: dict[int, np.ndarray] = {
-            node: self._rng.integers(0, 2**64, size=words, dtype=np.uint64)
-            for node in self._inputs
-        }
+        self._random = RandomLanes(seed)
+        # Pattern width in 64-lane words: the random words plus the folded
+        # counterexample words.  Kept explicitly, so a table whose first
+        # roots have no inputs still draws full-width lanes later.
+        self.words = words
+        self.mask = (1 << (words * _WORD_BITS)) - 1
+        self._lanes = self._random.draw(
+            [node for _, node in cone_plan(aig, self.roots).inputs], words
+        )
         self._pending: list[Mapping[int, bool]] = []
-        self._node_sigs: dict[int, np.ndarray] = {}
+        self._node_sigs: dict[int, int] = {}
         self._frozen = False
         self._resimulate()
 
@@ -55,7 +54,7 @@ class SignatureTable:
 
     def _resimulate(self) -> None:
         self._node_sigs = simulate_nodes(
-            self.aig, self._input_vectors, self.roots
+            self.aig, self._lanes, self.roots, self.mask
         )
 
     def add_pattern(self, assignment: Mapping[int, bool]) -> None:
@@ -79,20 +78,16 @@ class SignatureTable:
         self.flush()
 
     def flush(self) -> None:
-        """Fold queued patterns into the vectors and resimulate."""
+        """Fold queued patterns into new words above the lanes; resimulate."""
         if not self._pending:
             return
-        num_words = (len(self._pending) + _WORD_BITS - 1) // _WORD_BITS
-        for node in self._inputs:
-            extra = np.zeros(num_words, dtype=np.uint64)
+        shift = self.words * _WORD_BITS
+        for node in self._lanes:
             for bit, pattern in enumerate(self._pending):
                 if pattern.get(node, False):
-                    extra[bit // _WORD_BITS] |= np.uint64(1) << np.uint64(
-                        bit % _WORD_BITS
-                    )
-            self._input_vectors[node] = np.concatenate(
-                [self._input_vectors[node], extra]
-            )
+                    self._lanes[node] |= 1 << (shift + bit)
+        self.words += -(-len(self._pending) // _WORD_BITS)
+        self.mask = (1 << (self.words * _WORD_BITS)) - 1
         self._pending.clear()
         self._resimulate()
 
@@ -101,64 +96,52 @@ class SignatureTable:
         self.roots = list(dict.fromkeys(list(self.roots) + list(roots)))
         new_inputs = [
             node
-            for node in self.aig.cone(self.roots)
-            if self.aig.is_input(node) and node not in self._input_vectors
+            for _, node in cone_plan(self.aig, self.roots).inputs
+            if node not in self._lanes
         ]
-        words = self.words
-        for node in new_inputs:
-            self._inputs.append(node)
-            self._input_vectors[node] = self._rng.integers(
-                0, 2**64, size=words, dtype=np.uint64
-            )
+        self._lanes.update(self._random.draw(new_inputs, self.words))
         self._resimulate()
-
-    @property
-    def words(self) -> int:
-        if not self._input_vectors:
-            return 0
-        return len(next(iter(self._input_vectors.values())))
 
     # ------------------------------------------------------------------ #
     # Signatures
     # ------------------------------------------------------------------ #
 
-    def node_signature(self, node: int) -> np.ndarray:
-        """Raw simulation vector of a node (patterns pending are excluded)."""
+    def node_signature(self, node: int) -> int:
+        """Raw simulation lanes of a node (patterns pending are excluded)."""
         sig = self._node_sigs.get(node)
         if sig is None:
             # Node created after the last resimulation: simulate its cone.
             self._node_sigs.update(
-                simulate_nodes(self.aig, self._input_vectors, [2 * node])
+                simulate_nodes(self.aig, self._lanes, [2 * node], self.mask)
             )
             sig = self._node_sigs[node]
         return sig
 
-    def edge_signature(self, edge: int) -> np.ndarray:
+    def edge_signature(self, edge: int) -> int:
         sig = self.node_signature(edge >> 1)
-        return ~sig if edge & 1 else sig
+        return sig ^ self.mask if edge & 1 else sig
 
-    def signature_key(self, node: int) -> tuple[bool, bytes]:
+    def signature_key(self, node: int) -> tuple[bool, int]:
         """Phase-normalized hashable signature.
 
         Returns ``(phase, key)`` where nodes with equal keys are candidates:
         equal phase suggests equivalence, opposite phase antivalence.
         """
         sig = self.node_signature(node)
-        phase = bool(sig[0] & np.uint64(1))
-        normalized = ~sig if phase else sig
-        return phase, normalized.tobytes()
+        phase = bool(sig & 1)
+        return phase, sig ^ self.mask if phase else sig
 
     def edges_may_be_equal(self, a: int, b: int) -> bool:
-        """Necessary condition for edge equivalence (vector equality)."""
-        return bool(np.array_equal(self.edge_signature(a), self.edge_signature(b)))
+        """Necessary condition for edge equivalence (lane equality)."""
+        return self.edge_signature(a) == self.edge_signature(b)
 
-    def classes(self, nodes: Iterable[int]) -> dict[bytes, list[tuple[int, bool]]]:
+    def classes(self, nodes: Iterable[int]) -> dict[int, list[tuple[int, bool]]]:
         """Group nodes into candidate classes.
 
         Returns key -> list of (node, phase).  Nodes in one class with equal
         phases are equivalence candidates; opposite phases, antivalence.
         """
-        table: dict[bytes, list[tuple[int, bool]]] = {}
+        table: dict[int, list[tuple[int, bool]]] = {}
         for node in nodes:
             phase, key = self.signature_key(node)
             table.setdefault(key, []).append((node, phase))
@@ -167,8 +150,8 @@ class SignatureTable:
     def is_candidate_constant(self, node: int) -> bool | None:
         """If the node's signature is all-0 or all-1, the suggested constant."""
         sig = self.node_signature(node)
-        if not sig.any():
+        if not sig:
             return False
-        if np.array_equal(sig, np.full_like(sig, ~np.uint64(0))):
+        if sig == self.mask:
             return True
         return None

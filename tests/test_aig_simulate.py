@@ -1,20 +1,23 @@
 """Tests for bit-parallel simulation and truth tables."""
 
 import itertools
+import re
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import or_, xor
 from repro.aig.simulate import (
+    RandomLanes,
+    cone_plan,
     eval_edge,
-    random_input_vectors,
     simulate,
     simulate_nodes,
     truth_table,
 )
+import repro
 from repro.errors import AigError
 from tests.conftest import build_random_aig
 
@@ -45,46 +48,68 @@ class TestEval:
         assert not eval_edge(aig, f, {})
 
 
+WORD = (1 << 64) - 1
+
+
 class TestSimulate:
     def test_matches_eval_on_words(self):
         aig, inputs, root = build_random_aig(5, 30, seed=11)
-        vectors = random_input_vectors(aig, words=2, seed=3)
-        out = simulate(aig, vectors, [root])[root]
-        # Check bit 17 of word 0 against scalar evaluation.
+        lanes = RandomLanes(3).draw(aig.inputs, 2)
+        out = simulate(aig, lanes, [root], (1 << 128) - 1)[root]
+        # Check lane 17 of the first word against scalar evaluation.
         bit = 17
         assignment = {
-            node: bool(int(vec[0]) >> bit & 1) for node, vec in vectors.items()
+            node: bool(lane >> bit & 1) for node, lane in lanes.items()
         }
-        assert bool(int(out[0]) >> bit & 1) == eval_edge(aig, root, assignment)
+        assert bool(out >> bit & 1) == eval_edge(aig, root, assignment)
 
-    def test_mismatched_vector_lengths_rejected(self):
+    def test_lanes_wider_than_mask_rejected(self):
         aig = Aig()
         a, b = aig.add_inputs(2)
         f = aig.and_(a, b)
         with pytest.raises(AigError):
-            simulate(
-                aig,
-                {
-                    a >> 1: np.zeros(1, dtype=np.uint64),
-                    b >> 1: np.zeros(2, dtype=np.uint64),
-                },
-                [f],
-            )
+            simulate(aig, {a >> 1: 0, b >> 1: 1 << 64}, [f], WORD)
+        with pytest.raises(AigError):
+            simulate_nodes(aig, {a >> 1: -1}, [f], WORD)
 
     def test_complement_output(self):
         aig = Aig()
         a = aig.add_input()
-        ones = np.full(1, ~np.uint64(0), dtype=np.uint64)
-        out = simulate(aig, {a >> 1: ones}, [a, edge_not(a)])
-        assert int(out[a][0]) == 0xFFFFFFFFFFFFFFFF
-        assert int(out[edge_not(a)][0]) == 0
+        out = simulate(aig, {a >> 1: WORD}, [a, edge_not(a)], WORD)
+        assert out[a] == 0xFFFFFFFFFFFFFFFF
+        assert out[edge_not(a)] == 0
 
     def test_simulate_nodes_covers_cone(self):
         aig, inputs, root = build_random_aig(4, 15, seed=12)
-        vectors = random_input_vectors(aig, words=1, seed=1)
-        values = simulate_nodes(aig, vectors, [root])
+        lanes = RandomLanes(1).draw(aig.inputs, 1)
+        values = simulate_nodes(aig, lanes, [root], WORD)
         for node in aig.cone([root]):
             assert node in values
+
+    def test_random_lanes_pack_the_seeded_words(self):
+        # Word k of the numpy draw is lanes 64k..64k+63, inputs in the
+        # order given, one generator stream across draws.
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        expected = [
+            [int(w) for w in rng.integers(0, 2**64, size=2, dtype=np.uint64)]
+            for _ in range(3)
+        ]
+        source = RandomLanes(5)
+        first = source.draw([7, 3], 2)
+        second = source.draw([9], 2)
+        got = [first[7], first[3], second[9]]
+        for lane, (low, high) in zip(got, expected):
+            assert lane == low | high << 64
+
+    def test_plan_lists_the_last_root_cone_first(self):
+        aig, inputs, root = build_random_aig(5, 30, seed=4)
+        other = aig.and_(inputs[0], edge_not(inputs[1]))
+        plan = cone_plan(aig, [other, root])
+        prefix = plan.nodes[1:plan.pos[root >> 1] + 1]
+        assert prefix == aig.cone([root])
+        assert plan.nodes[1:] == aig.cone([other, root])
 
 
 class TestTruthTable:
@@ -136,11 +161,21 @@ class TestTruthTable:
 def test_simulation_consistency_property(seed):
     """64 parallel patterns agree with 64 scalar evaluations."""
     aig, inputs, root = build_random_aig(3, 12, seed=seed)
-    vectors = random_input_vectors(aig, words=1, seed=seed)
-    out = simulate(aig, vectors, [root])[root]
+    lanes = RandomLanes(seed).draw(aig.inputs, 1)
+    out = simulate(aig, lanes, [root], WORD)[root]
     for bit in range(0, 64, 17):
         assignment = {
-            node: bool(int(vec[0]) >> bit & 1)
-            for node, vec in vectors.items()
+            node: bool(lane >> bit & 1) for node, lane in lanes.items()
         }
-        assert bool(int(out[0]) >> bit & 1) == eval_edge(aig, root, assignment)
+        assert bool(out >> bit & 1) == eval_edge(aig, root, assignment)
+
+
+def test_numpy_is_imported_only_by_the_simulation_module():
+    """Lanes are packed ints everywhere; numpy only draws seeded patterns."""
+    root = Path(repro.__file__).parent
+    importers = sorted(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)
+    )
+    assert importers == ["aig/simulate.py"]

@@ -1,12 +1,11 @@
 """Tests for the don't-care optimization phase (Section 2.2)."""
 
-import numpy as np
 import pytest
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import and_all, or_, xor
 from repro.aig.simulate import truth_table
-from repro.core.dontcare import DontCareOracle, care_set_candidates
+from repro.core.dontcare import CareLanes, DontCareOracle, care_set_candidates
 from repro.core.optimize import OptimizeOptions, optimize_disjunction
 from repro.sweep.satsweep import SatSweeper
 from tests.conftest import build_random_aig, edges_equivalent
@@ -53,12 +52,8 @@ class TestCandidates:
         a, b = aig.add_inputs(2)
         f0 = a
         f1 = aig.and_(a, b)  # within care (a=0) f1 is constant 0
-        rng = np.random.default_rng(1)
-        vectors = {
-            node: rng.integers(0, 2**64, size=4, dtype=np.uint64)
-            for node in (a >> 1, b >> 1)
-        }
-        candidates = care_set_candidates(aig, f0, f1, vectors)
+        lanes = CareLanes(aig, f0, f1, words=4, seed=1)
+        candidates = care_set_candidates(lanes)
         assert FALSE in candidates.get(f1 >> 1, [])
 
     def test_merge_candidates_found(self):
@@ -67,12 +62,8 @@ class TestCandidates:
         f0 = edge_not(a)
         # Within care (a=1): (a AND b) == b.
         f1 = aig.and_(aig.and_(a, b), c)
-        rng = np.random.default_rng(2)
-        vectors = {
-            node: rng.integers(0, 2**64, size=4, dtype=np.uint64)
-            for node in (a >> 1, b >> 1, c >> 1)
-        }
-        candidates = care_set_candidates(aig, f0, f1, vectors)
+        lanes = CareLanes(aig, f0, f1, words=4, seed=2)
+        candidates = care_set_candidates(lanes)
         inner = aig.and_(a, b)
         assert b in candidates.get(inner >> 1, []) or candidates
 

@@ -18,6 +18,7 @@ from repro.mc.reach_aig_fwd import (
 )
 from repro.mc.reach_bdd import bdd_forward_reachability
 from repro.mc.result import Status
+from repro.obs import Tracer, probes
 
 SAFE_DESIGNS = {
     "mod_counter_3_6": lambda: G.mod_counter(3, 6, safe=True),
@@ -94,9 +95,18 @@ class TestOptionsAndErrors:
         assert result.status is Status.PROVED
 
     def test_stats_record_frontier_series(self):
-        result = forward_reachability(G.mod_counter(3, 6))
-        assert "frontier_size_1" in result.stats
-        assert result.stats.get("peak_frontier_size") > 0
+        tracer = probes.enable(Tracer(tick=0.0))
+        try:
+            result = forward_reachability(G.mod_counter(3, 6))
+        finally:
+            probes.disable()
+        sizes = [
+            record.value
+            for record in tracer.counters
+            if record.name == "reach.frontier_size"
+        ]
+        assert len(sizes) == result.iterations > 1
+        assert max(sizes) == result.stats.get("peak_frontier_size") > 0
 
 
 class TestImmediateViolation:

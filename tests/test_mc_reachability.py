@@ -11,6 +11,7 @@ from repro.mc.reach_bdd import (
     bdd_forward_reachability,
 )
 from repro.mc.result import Status
+from repro.obs import Tracer, probes
 
 
 SAFE_CASES = [
@@ -103,8 +104,19 @@ class TestAigBackward:
 
     def test_per_iteration_frontier_stats(self):
         net = G.mod_counter(4, 12, safe=False)
-        result = BackwardReachability(net).run()
-        assert "frontier_size_1" in result.stats
+        tracer = probes.enable(Tracer(tick=0.0))
+        try:
+            result = BackwardReachability(net).run()
+        finally:
+            probes.disable()
+        sizes = [
+            record.value
+            for record in tracer.counters
+            if record.name == "reach.frontier_size"
+        ]
+        assert len(sizes) == result.iterations > 1
+        assert max(sizes) == result.stats.get("peak_frontier_size")
+        assert not [k for k in result.stats.as_dict() if "frontier_size_" in k]
 
 
 class TestInputEliminationModes:

@@ -1,8 +1,9 @@
 """Counterexample refutation of input-DC candidates changes no result.
 
 ``_simplify_against`` folds every SAT counterexample of a failed input-DC
-check into a packed simulation lane and refutes a later candidate that
-differs from its node on a care lane without calling the solver.  The
+check into a packed simulation lane of its ``CareLanes`` and refutes a
+later candidate that differs from its node on a care lane without calling
+the solver.  The
 golden values below were recorded while every candidate still went to
 the solver: the final cone, the replacements, the quantification order
 and the ODC counters must stay as recorded, and every check made then
@@ -16,8 +17,7 @@ import pytest
 from repro.aig.graph import FALSE, TRUE
 from repro.circuits import combinational as C
 from repro.core import QuantifyOptions, quantify_exists
-from repro.core import optimize
-from repro.core.dontcare import DontCareOracle
+from repro.core.dontcare import CareLanes, DontCareOracle
 from repro.sweep.satsweep import SatSweeper
 
 
@@ -112,7 +112,7 @@ def test_results_match_recorded(name, use_odc):
 )
 def test_every_refuted_candidate_fails_its_sat_check(monkeypatch, name):
     refuted: list[tuple] = []
-    refutes = optimize._Counterexamples.refutes
+    refutes = CareLanes.refutes
 
     def recording(self, care, original, replacement):
         verdict = refutes(self, care, original, replacement)
@@ -120,7 +120,7 @@ def test_every_refuted_candidate_fails_its_sat_check(monkeypatch, name):
             refuted.append((self.plan, care, original, replacement))
         return verdict
 
-    monkeypatch.setattr(optimize._Counterexamples, "refutes", recording)
+    monkeypatch.setattr(CareLanes, "refutes", recording)
     aig, outcome = run_query(name, False)
     assert refuted
     assert len(refuted) == outcome.stats.get("input_dc_refuted")
@@ -156,7 +156,7 @@ def test_only_care_lanes_refute():
     a, b = inputs[:2]
     node = aig.and_(a, b)
     care = a ^ 1  # the reference is ``a``; its onset is don't-care
-    lanes = optimize._Counterexamples(aig, [a, node])
+    lanes = CareLanes(aig, a, node, words=1, seed=0)
     assert not lanes.refutes(care, node, b)
     # Outside care: node and FALSE differ, but that does not count.
     lanes.add({a >> 1: True, b >> 1: True})

@@ -1,12 +1,13 @@
 """Tests for the merge-phase engines: signatures, SAT sweep, BDD sweep."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import and_all, or_, xor
 from repro.aig.simulate import truth_table
+from repro.core.merge import MergeOptions
+from repro.core.quantify import QuantifyOptions, quantify_exists
 from repro.sweep.bddsweep import bdd_sweep
 from repro.sweep.engine import sweep_edges
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
@@ -63,6 +64,28 @@ class TestSignatureTable:
         f = aig.and_(a, edge_not(a))  # folds to FALSE edge, node 0 sig zero
         table = SignatureTable(aig, [a], words=2)
         assert table.is_candidate_constant(0) is False  # constant node is 0
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    def test_input_free_first_sweep_keeps_the_width(self, order):
+        # A shared sweeper whose first roots have no inputs must keep its
+        # configured pattern width for every later sweep.
+        aig = Aig()
+        x, y, z = aig.add_inputs(3)
+        options = QuantifyOptions(
+            merge=MergeOptions(use_bdd_sweep=False, order=order),
+            use_optimize=False,
+        )
+        sweeper = SatSweeper(aig)
+        quantify_exists(aig, x, [x >> 1], options, sweeper=sweeper)
+        assert sweeper.signatures.words == 4
+        f = or_(aig, aig.and_(x, y), aig.and_(edge_not(x), z))
+        outcome = quantify_exists(aig, f, [x >> 1], options, sweeper=sweeper)
+        assert sweeper.signatures.words == 4
+        assert not sweeper.signatures.edges_may_be_equal(y, z)
+        nodes = [x >> 1, y >> 1, z >> 1]
+        assert truth_table(aig, outcome.edge, nodes) == truth_table(
+            aig, or_(aig, y, z), nodes
+        )
 
     def test_refresh_roots_adds_inputs(self):
         aig = Aig()
