@@ -93,6 +93,11 @@ def cone_plan(aig: Aig, edges: Sequence[int]) -> ConePlan:
     return plan
 
 
+def and_count(aig: Aig, edge: int) -> int:
+    """AND nodes in the cone of ``edge``, read off its cached plan."""
+    return len(cone_plan(aig, (edge,)).ops)
+
+
 def eval_packed(
     plan: ConePlan,
     input_ints: Mapping[int, int],

@@ -16,6 +16,12 @@
   ``schedule_image=False`` (or ``partial=True``, which needs the whole
   product for residual bookkeeping) for the monolithic
   conjoin-then-quantify pipeline.
+
+The reachability engines of :mod:`repro.mc.traversal` take their images
+from here: ``reach_aig_fwd`` its post-images, ``reach_aig`` its
+pre-images through :meth:`ImageComputer.substitute` and
+:meth:`ImageComputer.quantify` (so its all-SAT modes can take over the
+quantification), as do bmc and k-induction for their pre-image folds.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ class ImageComputer:
     With ``partial=True`` the input quantification aborts expensive
     variables and reports them in ``ImageResult.residual`` — the hook that
     experiment T6/T7 use to hand residual variables to SAT engines.
+    The netlist must be valid (:meth:`Netlist.validate`); the engines
+    check that once per run, before building their image computer.
     """
 
     def __init__(
@@ -63,7 +71,6 @@ class ImageComputer:
         share_solver: bool = True,
         schedule_image: bool = True,
     ) -> None:
-        netlist.validate()
         self.netlist = netlist
         self.aig: Aig = netlist.aig
         self.options = options if options is not None else QuantifyOptions()
@@ -90,16 +97,23 @@ class ImageComputer:
         Environment constraints are conjoined before quantifying, so the
         result is ``exists i . C(s, i) AND S(delta(s, i))``.
         """
+        composed = self.substitute(state_set)
+        return self.quantify(composed, self.input_support(composed))
+
+    def substitute(self, state_set: int) -> int:
+        """``C(s, i) AND S(delta(s, i))``: the pre-image before quantifying."""
         composed = preimage_by_substitution(
             self.aig, state_set, self._next_functions
         )
-        composed = self.aig.and_(composed, self.netlist.constraint_edge())
-        input_nodes = [
-            node
-            for node in self.netlist.input_nodes
-            if node in support(self.aig, composed)
-        ]
-        return self._quantify(composed, input_nodes)
+        return self.aig.and_(composed, self.netlist.constraint_edge())
+
+    def input_support(self, edge: int) -> list[int]:
+        """The primary inputs ``edge`` reads, in netlist order."""
+        inputs = self.netlist.input_nodes
+        if not inputs:
+            return []           # no cone walk for an input-free netlist
+        present = support(self.aig, edge)
+        return [node for node in inputs if node in present]
 
     # ------------------------------------------------------------------ #
     # Post-image
@@ -139,7 +153,7 @@ class ImageComputer:
                 )
                 if node in support(self.aig, product)
             ]
-            result = self._quantify(product, to_quantify)
+            result = self.quantify(product, to_quantify)
         renamed = compose(
             self.aig,
             result.edge,
@@ -213,7 +227,8 @@ class ImageComputer:
     # Shared quantification entry
     # ------------------------------------------------------------------ #
 
-    def _quantify(self, edge: int, variables: list[int]) -> ImageResult:
+    def quantify(self, edge: int, variables: list[int]) -> ImageResult:
+        """``exists variables . edge``, partial when ``partial`` is on."""
         if self.partial:
             quantifier = PartialQuantifier(
                 self.aig,

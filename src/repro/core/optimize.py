@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aig.analysis import cone_size_many
-from repro.aig.graph import Aig, edge_not
+from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import or_
 from repro.aig.rewrite import rewrite_root
+from repro.aig.simulate import and_count, cone_plan
 from repro.core.dontcare import CareLanes, DontCareOracle, care_set_candidates
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
@@ -112,6 +112,20 @@ def _simplify_against(
     return simplified
 
 
+def _disjunction_size(aig: Aig, f0: int, f1: int, disjunction: int) -> int:
+    """AND nodes in the cone of ``disjunction = f0 OR f1``.
+
+    Read off the plan of ``[f0, f1]``, which the first simplification
+    direction simulates on.  ``or_`` folds only trivial cases, so the
+    disjunction is a constant, one of the two cofactors (the other is
+    FALSE or equal to it), or one AND node above both cones.
+    """
+    if disjunction in (FALSE, TRUE):
+        return 0
+    plan = cone_plan(aig, (f0, f1))
+    return len(plan.ops) + (disjunction >> 1 not in plan.pos)
+
+
 def optimize_disjunction(
     aig: Aig,
     f0: int,
@@ -131,7 +145,7 @@ def optimize_disjunction(
     stats = StatsBag()
     oracle = DontCareOracle(aig, sweeper)
     baseline = or_(aig, f0, f1)
-    baseline_size = cone_size_many(aig, [baseline])
+    baseline_size = _disjunction_size(aig, f0, f1, baseline)
     best = baseline
     best_size = baseline_size
     if options.use_input_dc or options.use_odc:
@@ -142,14 +156,15 @@ def optimize_disjunction(
             aig, f1_simplified, f0, oracle, options, stats
         )
         candidate = or_(aig, f0_simplified, f1_simplified)
-        candidate_size = cone_size_many(aig, [candidate])
+        # The plan quantification reads next whenever the candidate wins.
+        candidate_size = and_count(aig, candidate)
         if candidate_size <= best_size:
             best, best_size = candidate, candidate_size
         else:
             stats.incr("growth_discarded")
     if options.use_rewrite:
         rewritten = rewrite_root(aig, best)
-        rewritten_size = cone_size_many(aig, [rewritten])
+        rewritten_size = and_count(aig, rewritten)
         if rewritten_size < best_size:
             stats.set("rewrite_gain", best_size - rewritten_size)
             best, best_size = rewritten, rewritten_size

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from repro.aig.graph import Aig
 from repro.aig.ops import cofactor, or_, support
-from repro.aig.simulate import cone_plan
+from repro.aig.simulate import and_count
 from repro.core.merge import MergeOptions, merge_cofactors
 from repro.core.optimize import OptimizeOptions, optimize_disjunction
 from repro.core.schedule import get_scheduler
@@ -122,10 +122,6 @@ def quantify_exists_one(
     return result
 
 
-def _and_count(aig: Aig, edge: int) -> int:
-    return len(cone_plan(aig, (edge,)).ops)
-
-
 def quantify_exists(
     aig: Aig,
     edge: int,
@@ -152,7 +148,7 @@ def quantify_exists(
     if options is None:
         options = QuantifyOptions()
     stats = StatsBag()
-    stats.set("initial_size", _and_count(aig, edge))
+    stats.set("initial_size", and_count(aig, edge))
     if sweeper is None and (options.use_merge or options.use_optimize):
         sweeper = SatSweeper(aig)
     sweeper_before = sweeper.stats.as_dict() if sweeper is not None else {}
@@ -181,10 +177,10 @@ def quantify_exists(
             aig, current, var, options, sweeper=sweeper, stats=stats
         )
         quantified.append(var)
-        stats.max("peak_size", _and_count(aig, current))
+        stats.max("peak_size", and_count(aig, current))
     if sweeper is not None:
         stats.merge_since(sweeper.stats, sweeper_before)
-    stats.set("final_size", _and_count(aig, current))
+    stats.set("final_size", and_count(aig, current))
     return QuantifyOutcome(edge=current, quantified=quantified, stats=stats)
 
 

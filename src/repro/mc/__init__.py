@@ -2,8 +2,9 @@
 
 The paper's contribution is the traversal of :mod:`repro.mc.reach_aig` —
 breadth-first *backward* reachability with AIG state sets and circuit-based
-quantification.  Everything else here is a baseline or a combination target
-named in the paper:
+quantification.  Its loop lives in :mod:`repro.mc.traversal`, shared by the
+forward AIG engine and both BDD engines.  Everything else here is a
+baseline or a combination target named in the paper:
 
 * :mod:`repro.mc.reach_bdd` — classical BDD reachability (the canonical
   representation whose memory explosion motivates the work);

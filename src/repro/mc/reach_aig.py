@@ -8,10 +8,16 @@ counter-example.  In our implementation all state sets are represented and
 manipulated using AIGs instead of BDDs.  Operations on AIGs, e.g.,
 equivalence, are performed using a SAT engine."
 
-The engine keeps a private clone of the netlist, computes pre-images by
-in-lining + circuit-based input quantification (or all-SAT / the hybrid
-partial+all-SAT combination of Section 4), checks frontier emptiness and
-init intersection with SAT, and periodically compacts its manager.
+The breadth-first loop itself is :func:`repro.mc.traversal.breadth_first`,
+shared with the forward and BDD engines; this module supplies its AIG
+state sets.  The engine keeps a private clone of the netlist and takes
+its pre-images from a :class:`~repro.core.images.ImageComputer` —
+in-lining, then circuit-based input quantification (partial in the
+hybrid mode) — and keeps only the all-SAT elimination itself (the whole
+pre-image in the all-SAT mode, the hybrid residual of Section 4).  It
+checks frontier emptiness and init intersection with SAT, and
+periodically compacts its manager, rebuilding the image computer on the
+new working copy.
 
 All SAT checks on one working model — frontier emptiness, init
 intersection and the violating inputs of a counterexample — share one
@@ -31,18 +37,14 @@ from dataclasses import dataclass, field
 from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, edge_not
-from repro.aig.ops import or_, support
 from repro.circuits.netlist import Netlist
-from repro.core.partial import PartialQuantifier
-from repro.core.quantify import QuantifyOptions, quantify_exists
-from repro.core.substitution import preimage_by_substitution
-from repro.errors import ModelCheckingError, ResourceLimit
+from repro.core.images import ImageComputer
+from repro.core.quantify import QuantifyOptions
+from repro.errors import ModelCheckingError
 from repro.mc.preimage_sat import allsat_quantify
-from repro.mc.result import Status, Trace, VerificationResult
-from repro.mc.trace import concretize_suffix, find_violation_inputs
-from repro.obs import probes as _obs
-from repro.sat.solver import SolveResult
-from repro.util.stats import StatsBag
+from repro.mc.result import Trace, VerificationResult
+from repro.mc.trace import concretize_suffix
+from repro.mc.traversal import AigStateSets, breadth_first
 
 
 @dataclass
@@ -67,108 +69,67 @@ class ReachOptions:
     fraig_compaction: bool = False
 
 
-class BackwardReachability:
-    """The paper's traversal routine over one netlist."""
+class BackwardReachability(AigStateSets):
+    """The paper's traversal routine over one netlist.
+
+    Rings are distance layers: ``rings[k]`` holds the states at backward
+    distance ``k`` from the violation, ring 0 the bad states.
+    """
+
+    engine = "reach_aig"
 
     def __init__(
         self, netlist: Netlist, options: ReachOptions | None = None
     ) -> None:
-        netlist.validate()
-        if not netlist.has_property:
-            raise ModelCheckingError("backward reachability needs a property")
-        self.original = netlist
+        super().__init__(netlist, "backward")
         self.options = options if options is not None else ReachOptions()
         if self.options.input_elimination not in ("circuit", "allsat", "hybrid"):
             raise ModelCheckingError(
                 f"unknown input elimination mode: "
                 f"{self.options.input_elimination!r}"
             )
-        # Private working copy: traversal adds heaps of nodes and must not
-        # pollute (or be confused by) the caller's manager.
-        self.model, _, node_map = netlist.clone()
-        self._to_original = {
-            new: old for old, new in node_map.items()
-        }
-        self.stats = StatsBag()
-        self._cnf: CnfMapper | None = None
+        self._images = self._image_computer()
+        self._init = self._bad = FALSE
 
-    # ------------------------------------------------------------------ #
-    # SAT helpers on the working model
-    # ------------------------------------------------------------------ #
+    def _new_mapper(self) -> CnfMapper:
+        return CnfMapper(self.model.aig)
 
-    def _mapper(self) -> CnfMapper:
-        """The persistent SAT context of the current working model."""
-        if self._cnf is None:
-            self._cnf = CnfMapper(self.model.aig)
-        return self._cnf
-
-    def _satisfiable(self, edge: int) -> dict[int, bool] | None:
-        """SAT model of an edge over the working model, or None."""
-        if edge == FALSE:
-            return None
-        mapper = self._mapper()
-        lit = mapper.lit_for(edge)
-        if mapper.solver.solve([lit]) is not SolveResult.SAT:
-            return None
-        model = mapper.model_inputs()
-        return {
-            node: model.get(node, False) for node in self.model.latch_nodes
-        }
+    def _image_computer(self) -> ImageComputer:
+        # No shared solver: each pre-image quantification opens its own
+        # sweeper.  The hybrid mode quantifies partially.
+        return ImageComputer(
+            self.model,
+            self.options.quantify,
+            partial=self.options.input_elimination == "hybrid",
+            growth_factor=self.options.partial_growth_factor,
+            share_solver=False,
+        )
 
     # ------------------------------------------------------------------ #
     # Pre-image with the configured input elimination
     # ------------------------------------------------------------------ #
 
-    def _preimage(self, state_set: int) -> int:
-        composed = preimage_by_substitution(
-            self.model.aig, state_set, self.model.next_functions()
-        )
-        # Environment constraints gate every transition: only inputs with
-        # C(s, i) may justify membership in the pre-image.
-        composed = self.model.aig.and_(
-            composed, self.model.constraint_edge()
-        )
-        return self._eliminate_inputs(composed)
-
-    def _eliminate_inputs(self, composed: int) -> int:
+    def _eliminate_inputs(self, edge: int) -> int:
         """Existentially remove primary inputs per the configured mode."""
-        aig = self.model.aig
-        inputs = [
-            node
-            for node in self.model.input_nodes
-            if node in support(aig, composed)
-        ]
-        mode = self.options.input_elimination
+        inputs = self._images.input_support(edge)
         if not inputs:
-            return composed
-        if mode == "circuit":
-            outcome = quantify_exists(
-                aig, composed, inputs, self.options.quantify
-            )
-            self.stats.merge(outcome.stats)
-            return outcome.edge
+            return edge
+        mode = self.options.input_elimination
         if mode == "allsat":
-            result, sat_stats = allsat_quantify(
-                aig, composed, inputs, max_cubes=self.options.allsat_max_cubes
-            )
-            self.stats.merge(sat_stats)
-            return result
+            return self._allsat(edge, inputs)
+        image = self._images.quantify(edge, inputs)
+        self.stats.merge(image.stats)
+        if mode == "circuit":
+            return image.edge
         # hybrid: partial circuit quantification, residual to all-SAT.
-        quantifier = PartialQuantifier(
-            aig,
-            options=self.options.quantify,
-            growth_factor=self.options.partial_growth_factor,
-        )
-        outcome = quantifier.quantify(composed, inputs)
-        self.stats.merge(outcome.stats)
-        self.stats.incr("hybrid_residual_vars", len(outcome.aborted))
-        if not outcome.aborted:
-            return outcome.edge
+        self.stats.incr("hybrid_residual_vars", len(image.residual))
+        if not image.residual:
+            return image.edge
+        return self._allsat(image.edge, image.residual)
+
+    def _allsat(self, edge: int, inputs: list[int]) -> int:
         result, sat_stats = allsat_quantify(
-            aig,
-            outcome.edge,
-            outcome.aborted,
-            max_cubes=self.options.allsat_max_cubes,
+            self.model.aig, edge, inputs, max_cubes=self.options.allsat_max_cubes
         )
         self.stats.merge(sat_stats)
         return result
@@ -178,128 +139,51 @@ class BackwardReachability:
     # ------------------------------------------------------------------ #
 
     def run(self) -> VerificationResult:
-        options = self.options
+        return breadth_first(self, self.options.max_iterations)
+
+    def start(self) -> int:
         model = self.model
-        aig = model.aig
         # The bad *states*: inputs of an input-dependent property are
         # existentially quantified away so every layer is a pure state set.
         # The violating step must itself satisfy the constraints.
-        bad = self._eliminate_inputs(
-            aig.and_(edge_not(model.property_edge), model.constraint_edge())
+        self._bad = self._eliminate_inputs(
+            model.aig.and_(edge_not(model.property_edge), model.constraint_edge())
         )
-        init = model.init_state_edge()
-        # Distance layers for trace reconstruction: layers[k] = states at
-        # backward distance k from the violation.
-        layers: list[int] = [bad]
-        reached = bad
-        frontier = bad
-        init_hit = self._check_init(init, bad)
-        if init_hit is not None:
-            return self._counterexample(init_hit, layers, iterations=0)
-        iteration = 0
-        while iteration < options.max_iterations:
-            iteration += 1
-            preimage = self._preimage(frontier)
-            new_frontier = aig.and_(preimage, edge_not(reached))
-            frontier_size = cone_size(aig, new_frontier)
-            if _obs.ENABLED:
-                _obs.sample("reach.frontier_size", frontier_size)
-            self.stats.max("peak_frontier_size", frontier_size)
-            self.stats.max("peak_reached_size", cone_size(aig, reached))
-            witness = self._satisfiable(new_frontier)
-            if witness is None:
-                # Fix-point: no newly reached states.
-                self.stats.set("iterations", iteration)
-                return VerificationResult(
-                    status=Status.PROVED,
-                    engine="reach_aig",
-                    iterations=iteration,
-                    stats=self.stats,
-                )
-            layers.append(new_frontier)
-            reached = or_(aig, reached, new_frontier)
-            frontier = new_frontier
-            init_hit = self._check_init(init, new_frontier)
-            if init_hit is not None:
-                return self._counterexample(init_hit, layers, iterations=iteration)
-            if (
-                options.compact_every
-                and iteration % options.compact_every == 0
-            ):
-                layers, reached, frontier, init, bad = self._compact(
-                    layers, reached, frontier, init, bad
-                )
-                model = self.model      # compaction swapped the working copy
-                aig = model.aig
-            if aig.num_nodes > options.max_manager_nodes:
-                raise ResourceLimit(
-                    f"AIG manager exceeded {options.max_manager_nodes} nodes"
-                )
-        return VerificationResult(
-            status=Status.UNKNOWN,
-            engine="reach_aig",
-            iterations=options.max_iterations,
-            stats=self.stats,
-        )
+        self._init = model.init_state_edge()
+        return self._bad
 
-    def _check_init(self, init: int, frontier: int) -> dict[int, bool] | None:
-        """Does the frontier contain the initial state?"""
-        return self._satisfiable(self.model.aig.and_(init, frontier))
+    def image(self, frontier: int, iteration: int) -> int:
+        return self._eliminate_inputs(self._images.substitute(frontier))
 
-    def _counterexample(
-        self,
-        start_state: dict[int, bool],
-        layers: list[int],
-        iterations: int,
-    ) -> VerificationResult:
+    def measure(self, new: int, reached: int) -> None:
+        super().measure(new, reached)
+        self.stats.max("peak_reached_size", cone_size(self.model.aig, reached))
+
+    def target_hit(self, state_set: int) -> dict[int, bool] | None:
+        """An initial state inside ``state_set``, if any."""
+        return self._satisfiable(self.model.aig.and_(self._init, state_set))
+
+    def trace(self, start_state: dict[int, bool], layers: list[int]) -> Trace:
         """Walk the initial state down the distance layers to the bug."""
-        states = [dict(start_state)]
-        suffix_states, inputs = concretize_suffix(
-            self.model, start_state, layers
-        )
-        states.extend(suffix_states)
-        violation = find_violation_inputs(
-            self.model, states[-1], self._mapper()
-        )
-        trace = Trace(
-            states=[self._map_state(s) for s in states],
-            inputs=[self._map_inputs(i) for i in inputs],
-            violation_inputs=(
-                self._map_inputs(violation) if violation is not None else None
-            ),
-        )
-        self.stats.set("iterations", iterations)
-        return VerificationResult(
-            status=Status.FAILED,
-            engine="reach_aig",
-            trace=trace,
-            iterations=iterations,
-            stats=self.stats,
-        )
+        suffix_states, inputs = concretize_suffix(self.model, start_state, layers)
+        return self._trace([dict(start_state)] + suffix_states, inputs)
 
-    def _map_state(self, state: dict[int, bool]) -> dict[int, bool]:
-        return {
-            self._to_original.get(node, node): value
-            for node, value in state.items()
-        }
-
-    def _map_inputs(self, inputs: dict[int, bool]) -> dict[int, bool]:
-        return {
-            self._to_original.get(node, node): value
-            for node, value in inputs.items()
-        }
+    def upkeep(
+        self, iteration: int, rings: list[int], reached: int
+    ) -> tuple[list[int], int]:
+        every = self.options.compact_every
+        if every and iteration % every == 0:
+            rings, reached = self._compact(rings, reached)
+        return super().upkeep(iteration, rings, reached)
 
     def _compact(
-        self,
-        layers: list[int],
-        reached: int,
-        frontier: int,
-        init: int,
-        bad: int,
-    ) -> tuple[list[int], int, int, int, int]:
+        self, layers: list[int], reached: int
+    ) -> tuple[list[int], int]:
         """Shrink the working manager, transferring the live state sets."""
         before = self.model.aig.num_nodes
-        extras = list(layers) + [reached, frontier, init, bad]
+        # The frontier (the last layer) is listed twice: the FRAIG
+        # signatures and the clone's node numbering follow this root order.
+        extras = list(layers) + [reached, layers[-1], self._init, self._bad]
         if self.options.fraig_compaction:
             from repro.sweep.fraig import fraig_in_place
 
@@ -311,6 +195,7 @@ class BackwardReachability:
         new_model, moved, node_map = self.model.clone(extras)
         self.model = new_model
         self._cnf = None        # node ids changed: the old encoding is stale
+        self._images = self._image_computer()
         # Chain the original-node mapping through the new clone.
         self._to_original = {
             new: self._to_original.get(old, old)
@@ -319,7 +204,8 @@ class BackwardReachability:
         self.stats.incr("compactions")
         self.stats.incr("compaction_nodes_freed", before - new_model.aig.num_nodes)
         n = len(layers)
-        return list(moved[:n]), moved[n], moved[n + 1], moved[n + 2], moved[n + 3]
+        self._init, self._bad = moved[n + 2], moved[n + 3]
+        return list(moved[:n]), moved[n]
 
 
 def backward_reachability(

@@ -14,6 +14,10 @@ in-lining shortcut, so every current-state and input variable goes through
 the circuit-based engine.  The T4/F1-style comparisons between this engine
 and the backward one quantify exactly that asymmetry.
 
+The breadth-first loop is :func:`repro.mc.traversal.breadth_first`, shared
+with the backward and BDD engines; post-images come from
+:class:`~repro.core.images.ImageComputer`.
+
 Counterexample traces are rebuilt by walking the stored onion rings
 backwards: for each concrete state in ring ``k`` a SAT call finds a ring
 ``k-1`` predecessor and the driving inputs.
@@ -27,19 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
-from repro.aig.graph import FALSE, edge_not
-from repro.aig.ops import or_, xnor
+from repro.aig.graph import edge_not
 from repro.circuits.netlist import Netlist
 from repro.core.images import ImageComputer
 from repro.core.quantify import QuantifyOptions
-from repro.errors import ModelCheckingError, ResourceLimit
-from repro.mc.result import Status, Trace, VerificationResult
-from repro.mc.trace import find_violation_inputs
-from repro.obs import probes as _obs
-from repro.sat.solver import SolveResult
-from repro.util.stats import StatsBag
+from repro.errors import ModelCheckingError
+from repro.mc.result import Trace, VerificationResult
+from repro.mc.traversal import AigStateSets, breadth_first
 
 
 @dataclass
@@ -53,52 +52,58 @@ class ForwardReachOptions:
     max_manager_nodes: int = 2_000_000
 
 
-class ForwardReachability:
+class ForwardReachability(AigStateSets):
     """Breadth-first forward traversal over one netlist."""
+
+    engine = "reach_aig_fwd"
 
     def __init__(
         self,
         netlist: Netlist,
         options: ForwardReachOptions | None = None,
     ) -> None:
-        netlist.validate()
-        if not netlist.has_property:
-            raise ModelCheckingError("forward reachability needs a property")
-        self.original = netlist
+        super().__init__(netlist, "forward")
         self.options = options if options is not None else ForwardReachOptions()
-        self.model, _, node_map = netlist.clone()
-        self._to_original = {new: old for old, new in node_map.items()}
-        self.stats = StatsBag()
         self._images = ImageComputer(self.model, self.options.quantify)
-        self._cnf = CnfMapper(self.model.aig)
 
-    # ------------------------------------------------------------------ #
-    # SAT helpers
-    # ------------------------------------------------------------------ #
+    def _new_mapper(self) -> CnfMapper:
+        return CnfMapper(self.model.aig)
 
-    def _violating_state(self, state_set: int) -> dict[int, bool] | None:
+    def run(self) -> VerificationResult:
+        return breadth_first(self, self.options.max_iterations)
+
+    def start(self) -> int:
+        return self.model.init_state_edge()
+
+    def image(self, frontier: int, iteration: int) -> int:
+        image = self._images.postimage(frontier)
+        self.stats.merge(image.stats)
+        return image.edge
+
+    def target_hit(self, state_set: int) -> dict[int, bool] | None:
         """A state of ``state_set`` where the property can fail, if any.
 
         The violating step must itself satisfy the environment
         constraints (an unconstrained input pattern does not count).
         """
-        bad = self.model.aig.and_(
-            state_set, edge_not(self.model.property_edge)
-        )
-        bad = self.model.aig.and_(bad, self.model.constraint_edge())
-        return self._satisfiable_state(bad)
+        aig = self.model.aig
+        bad = aig.and_(state_set, edge_not(self.model.property_edge))
+        return self._satisfiable(aig.and_(bad, self.model.constraint_edge()))
 
-    def _satisfiable_state(self, edge: int) -> dict[int, bool] | None:
-        if edge == FALSE:
-            return None
-        mapper = self._cnf
-        lit = mapper.lit_for(edge)
-        if mapper.solver.solve([lit]) is not SolveResult.SAT:
-            return None
-        model = mapper.model_inputs()
-        return {
-            node: model.get(node, False) for node in self.model.latch_nodes
-        }
+    # ------------------------------------------------------------------ #
+    # Trace reconstruction (backwards through the onion rings)
+    # ------------------------------------------------------------------ #
+
+    def trace(self, bad_state: dict[int, bool], rings: list[int]) -> Trace:
+        states = [dict(bad_state)]
+        inputs: list[dict[int, bool]] = []
+        for ring_index in range(len(rings) - 2, -1, -1):
+            predecessor, step_inputs = self._predecessor_in(
+                rings[ring_index], states[0]
+            )
+            states.insert(0, predecessor)
+            inputs.insert(0, step_inputs)
+        return self._trace(states, inputs)
 
     def _predecessor_in(
         self, source_set: int, target_state: dict[int, bool]
@@ -113,13 +118,11 @@ class ForwardReachability:
                 constraint,
                 next_edge if want else edge_not(next_edge),
             )
-        mapper = self._cnf
-        lit = mapper.lit_for(constraint)
-        if mapper.solver.solve([lit]) is not SolveResult.SAT:
+        model = self._solve(constraint)
+        if model is None:
             raise ModelCheckingError(
                 "onion-ring state has no predecessor (engine bug)"
             )
-        model = mapper.model_inputs()
         state = {
             node: model.get(node, False) for node in self.model.latch_nodes
         }
@@ -127,95 +130,6 @@ class ForwardReachability:
             node: model.get(node, False) for node in self.model.input_nodes
         }
         return state, inputs
-
-    # ------------------------------------------------------------------ #
-    # The traversal
-    # ------------------------------------------------------------------ #
-
-    def run(self) -> VerificationResult:
-        options = self.options
-        aig = self.model.aig
-        init = self.model.init_state_edge()
-        rings: list[int] = [init]
-        reached = init
-        frontier = init
-        violating = self._violating_state(frontier)
-        if violating is not None:
-            return self._counterexample(violating, rings)
-        iteration = 0
-        while iteration < options.max_iterations:
-            iteration += 1
-            image = self._images.postimage(frontier)
-            self.stats.merge(image.stats)
-            new_frontier = aig.and_(image.edge, edge_not(reached))
-            frontier_size = cone_size(aig, new_frontier)
-            if _obs.ENABLED:
-                _obs.sample("reach.frontier_size", frontier_size)
-            self.stats.max("peak_frontier_size", frontier_size)
-            if self._satisfiable_state(new_frontier) is None:
-                self.stats.set("iterations", iteration)
-                return VerificationResult(
-                    status=Status.PROVED,
-                    engine="reach_aig_fwd",
-                    iterations=iteration,
-                    stats=self.stats,
-                )
-            rings.append(new_frontier)
-            reached = or_(aig, reached, new_frontier)
-            frontier = new_frontier
-            violating = self._violating_state(new_frontier)
-            if violating is not None:
-                self.stats.set("iterations", iteration)
-                return self._counterexample(violating, rings)
-            if aig.num_nodes > options.max_manager_nodes:
-                raise ResourceLimit(
-                    f"AIG manager exceeded {options.max_manager_nodes} nodes"
-                )
-        return VerificationResult(
-            status=Status.UNKNOWN,
-            engine="reach_aig_fwd",
-            iterations=options.max_iterations,
-            stats=self.stats,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Trace reconstruction (backwards through the onion rings)
-    # ------------------------------------------------------------------ #
-
-    def _counterexample(
-        self, bad_state: dict[int, bool], rings: list[int]
-    ) -> VerificationResult:
-        states = [dict(bad_state)]
-        inputs: list[dict[int, bool]] = []
-        for ring_index in range(len(rings) - 2, -1, -1):
-            predecessor, step_inputs = self._predecessor_in(
-                rings[ring_index], states[0]
-            )
-            states.insert(0, predecessor)
-            inputs.insert(0, step_inputs)
-        violation = find_violation_inputs(self.model, states[-1], self._cnf)
-        trace = Trace(
-            states=[self._map_assignment(s) for s in states],
-            inputs=[self._map_assignment(i) for i in inputs],
-            violation_inputs=(
-                self._map_assignment(violation)
-                if violation is not None
-                else None
-            ),
-        )
-        return VerificationResult(
-            status=Status.FAILED,
-            engine="reach_aig_fwd",
-            trace=trace,
-            iterations=len(rings) - 1,
-            stats=self.stats,
-        )
-
-    def _map_assignment(self, values: dict[int, bool]) -> dict[int, bool]:
-        return {
-            self._to_original.get(node, node): value
-            for node, value in values.items()
-        }
 
 
 def forward_reachability(

@@ -18,6 +18,10 @@ you quantify matters as much as *what* you quantify:
 * the kernel's operation caches are trimmed between frontier steps and
   their hit/miss counters surface through the result's ``StatsBag``.
 
+Both traversals run the breadth-first loop of
+:func:`repro.mc.traversal.breadth_first`, shared with the AIG engines;
+this module supplies BDD state sets, whose emptiness is ``BDD_FALSE``.
+
 The monolithic conjoin-then-quantify image survives as
 ``BddReachOptions(image="monolithic")`` for A/B benchmarking
 (``benchmarks/bench_t14_bdd_image.py``).  Backward traversal mirrors
@@ -40,8 +44,9 @@ from repro.core.schedule import (
     plan_partitioned_quantification,
     schedule_variable_order,
 )
-from repro.errors import BddLimitExceeded, ModelCheckingError
-from repro.mc.result import Status, Trace, VerificationResult
+from repro.errors import ModelCheckingError
+from repro.mc.result import Trace, VerificationResult
+from repro.mc.traversal import StateSets, breadth_first
 from repro.obs import probes as _obs
 from repro.util.stats import StatsBag
 
@@ -303,20 +308,153 @@ class _BddModel:
         return [self.var_of_node[back[node]] for node in order]
 
 
-def _state_from_cube(
-    model: _BddModel, cube: dict[int, bool]
-) -> dict[int, bool]:
-    return {
-        node: cube.get(model.var_of_node[node], False)
-        for node in model.netlist.latch_nodes
-    }
+class _BddStateSets(StateSets):
+    """State sets as BDDs of one :class:`_BddModel`; empty is ``BDD_FALSE``."""
+
+    def __init__(self, netlist: Netlist, options: BddReachOptions) -> None:
+        self.model = _BddModel(netlist, options)
+        self.manager = self.model.manager
+        self.stats = StatsBag()
+
+    def subtract(self, image: int, reached: int) -> int:
+        return self.manager.and_(image, self.manager.not_(reached))
+
+    def unite(self, reached: int, new: int) -> int:
+        return self.manager.or_(reached, new)
+
+    def measure(self, new: int, reached: int) -> None:
+        manager = self.manager
+        self.stats.max("peak_frontier_bdd", manager.size(new))
+        self.stats.max("peak_reached_bdd", manager.size(reached))
+        if _obs.ENABLED:
+            _obs.bdd_tick(manager)
+        manager.trim_caches()
+
+    def is_empty(self, new: int) -> bool:
+        return new == BDD_FALSE
+
+    def finish(self) -> None:
+        """Surface the kernel cache counters through the StatsBag."""
+        for key, value in self.manager.cache_summary().items():
+            self.stats.set(f"bdd_{key}", value)
+        self.stats.set("manager_nodes", self.manager.num_nodes)
+
+    def _from_cube(
+        self, cube: dict[int, bool], nodes: list[int]
+    ) -> dict[int, bool]:
+        var_of_node = self.model.var_of_node
+        return {node: cube.get(var_of_node[node], False) for node in nodes}
+
+    def _violation_inputs(self, state: dict[int, bool]) -> dict[int, bool] | None:
+        """Witness inputs for an input-reading property in ``state``."""
+        restricted = self.model.bad_raw
+        for node, value in state.items():
+            restricted = self.manager.restrict(
+                restricted, self.model.var_of_node[node], value
+            )
+        cube = self.manager.pick_cube(restricted)
+        if cube is None:
+            return None
+        return self._from_cube(cube, self.model.netlist.input_nodes)
 
 
-def _finalize_stats(model: _BddModel, stats: StatsBag) -> None:
-    """Surface the kernel cache counters through the StatsBag."""
-    for key, value in model.manager.cache_summary().items():
-        stats.set(f"bdd_{key}", value)
-    stats.set("manager_nodes", model.manager.num_nodes)
+class _BddBackward(_BddStateSets):
+    """Pre-images from the bad states until the initial state is hit."""
+
+    engine = "reach_bdd"
+
+    def start(self) -> int:
+        return self.model.bad
+
+    def image(self, frontier: int, iteration: int) -> int:
+        with _obs.span("bdd.preimage", "bdd", iteration=iteration):
+            return self.model.preimage(frontier)
+
+    def target_hit(self, state_set: int) -> bool | None:
+        return self.manager.and_(self.model.init, state_set) != BDD_FALSE or None
+
+    def trace(self, hit: object, layers: list[int]) -> Trace:
+        """Replay from init through the distance layers, choosing inputs."""
+        model = self.model
+        manager = self.manager
+        netlist = model.netlist
+        state = dict(netlist.init_assignment())
+        states = [dict(state)]
+        inputs: list[dict[int, bool]] = []
+        # Find the deepest layer containing init = distance to violation.
+        containing = [
+            k
+            for k, layer in enumerate(layers)
+            if manager.evaluate(
+                layer, {model.var_of_node[n]: v for n, v in state.items()}
+            )
+        ]
+        if not containing:
+            raise ModelCheckingError("init not in any layer (engine bug)")
+        distance = min(containing)
+        for layer_index in range(distance - 1, -1, -1):
+            # Choose inputs steering into the next layer: satisfy
+            # layer(delta(s, i)) with s fixed.
+            target = model.preimage_into(layers[layer_index], state)
+            cube = manager.pick_cube(target)
+            if cube is None:
+                raise ModelCheckingError("trace reconstruction failed")
+            step_inputs = self._from_cube(cube, netlist.input_nodes)
+            inputs.append(step_inputs)
+            state = netlist.simulate_step(state, step_inputs)
+            states.append(dict(state))
+        return Trace(
+            states=states,
+            inputs=inputs,
+            violation_inputs=self._violation_inputs(state),
+        )
+
+
+class _BddForward(_BddStateSets):
+    """Post-images from the initial state until a bad state is hit."""
+
+    engine = "reach_bdd_fwd"
+
+    def start(self) -> int:
+        return self.model.init
+
+    def image(self, frontier: int, iteration: int) -> int:
+        with _obs.span("bdd.postimage", "bdd", iteration=iteration):
+            return self.model.postimage(frontier)
+
+    def target_hit(self, state_set: int) -> bool | None:
+        return self.manager.and_(state_set, self.model.bad) != BDD_FALSE or None
+
+    def trace(self, hit: object, rings: list[int]) -> Trace:
+        """Pick a bad state in the last ring, walk predecessors back to init."""
+        model = self.model
+        manager = self.manager
+        latches = model.netlist.latch_nodes
+        bad_cube = manager.pick_cube(manager.and_(rings[-1], model.bad))
+        if bad_cube is None:
+            raise ModelCheckingError("bad ring is empty (engine bug)")
+        states = [self._from_cube(bad_cube, latches)]
+        inputs: list[dict[int, bool]] = []
+        for ring_index in range(len(rings) - 2, -1, -1):
+            # Predecessors in the previous ring: ring(s) AND C(s, i) AND
+            # delta(s, i) == target, solved by one cube pick.
+            target = states[0]
+            predecessors = manager.and_(rings[ring_index], model.constraint)
+            for node, fn in model.delta.items():
+                literal = fn if target[node] else manager.not_(fn)
+                predecessors = manager.and_(predecessors, literal)
+            cube = manager.pick_cube(predecessors)
+            if cube is None:
+                raise ModelCheckingError(
+                    "onion-ring state has no predecessor (engine bug)"
+                )
+            states.insert(0, self._from_cube(cube, latches))
+            inputs.insert(0, self._from_cube(cube, model.netlist.input_nodes))
+        return Trace(
+            states=states,
+            inputs=inputs,
+            violation_inputs=self._violation_inputs(states[-1]),
+        )
 
 
 def bdd_backward_reachability(
@@ -331,112 +469,8 @@ def bdd_backward_reachability(
     exceeded — the memory-explosion outcome the paper's method avoids.
     """
     if options is None:
-        options = BddReachOptions(
-            max_iterations=max_iterations, max_nodes=max_nodes
-        )
-    stats = StatsBag()
-    model = _BddModel(netlist, options)
-    manager = model.manager
-    layers = [model.bad]
-    reached = model.bad
-    frontier = model.bad
-    iteration = 0
-    if manager.and_(model.init, model.bad) != BDD_FALSE:
-        return _bdd_counterexample(model, layers, stats, iteration)
-    while iteration < options.max_iterations:
-        iteration += 1
-        with _obs.span("bdd.preimage", "bdd", iteration=iteration):
-            preimage = model.preimage(frontier)
-        new_frontier = manager.and_(preimage, manager.not_(reached))
-        stats.max("peak_frontier_bdd", manager.size(new_frontier))
-        stats.max("peak_reached_bdd", manager.size(reached))
-        if _obs.ENABLED:
-            _obs.bdd_tick(manager)
-        manager.trim_caches()
-        if new_frontier == BDD_FALSE:
-            stats.set("iterations", iteration)
-            _finalize_stats(model, stats)
-            return VerificationResult(
-                status=Status.PROVED,
-                engine="reach_bdd",
-                iterations=iteration,
-                stats=stats,
-            )
-        layers.append(new_frontier)
-        reached = manager.or_(reached, new_frontier)
-        frontier = new_frontier
-        if manager.and_(model.init, new_frontier) != BDD_FALSE:
-            stats.set("iterations", iteration)
-            return _bdd_counterexample(model, layers, stats, iteration)
-    _finalize_stats(model, stats)
-    return VerificationResult(
-        status=Status.UNKNOWN,
-        engine="reach_bdd",
-        iterations=options.max_iterations,
-        stats=stats,
-    )
-
-
-def _bdd_counterexample(
-    model: _BddModel,
-    layers: list[int],
-    stats: StatsBag,
-    iterations: int,
-) -> VerificationResult:
-    """Replay from init through the distance layers, choosing inputs."""
-    manager = model.manager
-    netlist = model.netlist
-    state = dict(netlist.init_assignment())
-    states = [dict(state)]
-    inputs: list[dict[int, bool]] = []
-    # Find the deepest layer containing init = distance to violation.
-    containing = [
-        k
-        for k, layer in enumerate(layers)
-        if manager.evaluate(
-            layer, {model.var_of_node[n]: v for n, v in state.items()}
-        )
-    ]
-    if not containing:
-        raise ModelCheckingError("init not in any layer (engine bug)")
-    distance = min(containing)
-    for layer_index in range(distance - 1, -1, -1):
-        # Choose inputs steering into the next layer: satisfy
-        # layer(delta(s, i)) with s fixed.
-        target = model.preimage_into(layers[layer_index], state)
-        cube = manager.pick_cube(target)
-        if cube is None:
-            raise ModelCheckingError("trace reconstruction failed")
-        step_inputs = {
-            node: cube.get(model.var_of_node[node], False)
-            for node in netlist.input_nodes
-        }
-        inputs.append(step_inputs)
-        state = netlist.simulate_step(state, step_inputs)
-        states.append(dict(state))
-    # Witness inputs for an input-reading property in the final state.
-    restricted = model.bad_raw
-    for node, value in state.items():
-        restricted = manager.restrict(
-            restricted, model.var_of_node[node], value
-        )
-    witness_cube = manager.pick_cube(restricted)
-    violation = None
-    if witness_cube is not None:
-        violation = {
-            node: witness_cube.get(model.var_of_node[node], False)
-            for node in netlist.input_nodes
-        }
-    _finalize_stats(model, stats)
-    return VerificationResult(
-        status=Status.FAILED,
-        engine="reach_bdd",
-        trace=Trace(
-            states=states, inputs=inputs, violation_inputs=violation
-        ),
-        iterations=iterations,
-        stats=stats,
-    )
+        options = BddReachOptions(max_iterations=max_iterations, max_nodes=max_nodes)
+    return breadth_first(_BddBackward(netlist, options), options.max_iterations)
 
 
 def bdd_forward_reachability(
@@ -447,106 +481,5 @@ def bdd_forward_reachability(
 ) -> VerificationResult:
     """Forward BDD traversal with onion-ring trace reconstruction."""
     if options is None:
-        options = BddReachOptions(
-            max_iterations=max_iterations, max_nodes=max_nodes
-        )
-    stats = StatsBag()
-    model = _BddModel(netlist, options)
-    manager = model.manager
-    rings = [model.init]
-    reached = model.init
-    frontier = model.init
-    iteration = 0
-    if manager.and_(frontier, model.bad) != BDD_FALSE:
-        return _bdd_forward_counterexample(model, rings, stats)
-    while iteration < options.max_iterations:
-        iteration += 1
-        with _obs.span("bdd.postimage", "bdd", iteration=iteration):
-            image = model.postimage(frontier)
-        new_frontier = manager.and_(image, manager.not_(reached))
-        stats.max("peak_frontier_bdd", manager.size(new_frontier))
-        stats.max("peak_reached_bdd", manager.size(reached))
-        if _obs.ENABLED:
-            _obs.bdd_tick(manager)
-        manager.trim_caches()
-        if new_frontier == BDD_FALSE:
-            stats.set("iterations", iteration)
-            _finalize_stats(model, stats)
-            return VerificationResult(
-                status=Status.PROVED,
-                engine="reach_bdd_fwd",
-                iterations=iteration,
-                stats=stats,
-            )
-        rings.append(new_frontier)
-        reached = manager.or_(reached, new_frontier)
-        frontier = new_frontier
-        if manager.and_(new_frontier, model.bad) != BDD_FALSE:
-            stats.set("iterations", iteration)
-            return _bdd_forward_counterexample(model, rings, stats)
-    _finalize_stats(model, stats)
-    return VerificationResult(
-        status=Status.UNKNOWN,
-        engine="reach_bdd_fwd",
-        iterations=options.max_iterations,
-        stats=stats,
-    )
-
-
-def _bdd_forward_counterexample(
-    model: _BddModel,
-    rings: list[int],
-    stats: StatsBag,
-) -> VerificationResult:
-    """Pick a bad state in the last ring, walk predecessors back to init."""
-    manager = model.manager
-    netlist = model.netlist
-    bad_cube = manager.pick_cube(manager.and_(rings[-1], model.bad))
-    if bad_cube is None:
-        raise ModelCheckingError("bad ring is empty (engine bug)")
-    states = [_state_from_cube(model, bad_cube)]
-    inputs: list[dict[int, bool]] = []
-    for ring_index in range(len(rings) - 2, -1, -1):
-        # Predecessors in the previous ring: ring(s) AND C(s, i) AND
-        # delta(s, i) == target, solved by one cube pick.
-        target = states[0]
-        predecessors = manager.and_(rings[ring_index], model.constraint)
-        for node, fn in model.delta.items():
-            literal = fn if target[node] else manager.not_(fn)
-            predecessors = manager.and_(predecessors, literal)
-        cube = manager.pick_cube(predecessors)
-        if cube is None:
-            raise ModelCheckingError(
-                "onion-ring state has no predecessor (engine bug)"
-            )
-        states.insert(0, _state_from_cube(model, cube))
-        inputs.insert(
-            0,
-            {
-                node: cube.get(model.var_of_node[node], False)
-                for node in netlist.input_nodes
-            },
-        )
-    # Witness inputs for an input-reading property in the final state.
-    restricted = model.bad_raw
-    for node, value in states[-1].items():
-        restricted = manager.restrict(
-            restricted, model.var_of_node[node], value
-        )
-    witness_cube = manager.pick_cube(restricted)
-    violation = None
-    if witness_cube is not None:
-        violation = {
-            node: witness_cube.get(model.var_of_node[node], False)
-            for node in netlist.input_nodes
-        }
-    _finalize_stats(model, stats)
-    return VerificationResult(
-        status=Status.FAILED,
-        engine="reach_bdd_fwd",
-        trace=Trace(
-            states=states, inputs=inputs, violation_inputs=violation
-        ),
-        iterations=len(rings) - 1,
-        stats=stats,
-    )
+        options = BddReachOptions(max_iterations=max_iterations, max_nodes=max_nodes)
+    return breadth_first(_BddForward(netlist, options), options.max_iterations)

@@ -136,64 +136,7 @@ class SatSweeper:
         Returns ``(new_roots, rebuilt)`` where ``rebuilt`` maps original
         nodes to their representative edges in the same manager.
         """
-        aig = self.aig
-        if self.signatures is None:
-            self.signatures = SignatureTable(
-                aig, roots, words=self._sim_words, seed=self._seed
-            )
-        else:
-            self.signatures.refresh_roots(roots)
-        signatures = self.signatures
-        signatures.freeze()  # keys must stay comparable within this sweep
-        rebuilt: dict[int, int] = {0: FALSE}
-        # Candidate classes over *original* nodes; reps store the
-        # phase-normalized rebuilt edge.
-        reps: dict[int, list[int]] = {}
-        for node in aig.cone(roots):
-            if aig.is_input(node):
-                rebuilt[node] = 2 * node
-                phase, key = signatures.signature_key(node)
-                reps.setdefault(key, []).append(2 * node ^ int(phase))
-                continue
-            f0, f1 = aig.fanins(node)
-            default = aig.and_(
-                rebuilt[f0 >> 1] ^ (f0 & 1),
-                rebuilt[f1 >> 1] ^ (f1 & 1),
-            )
-            if default in (FALSE, TRUE):
-                rebuilt[node] = default
-                self.stats.incr("constant_folds")
-                continue
-            # Constant candidates first (all-0/all-1 signature).
-            suggested = signatures.is_candidate_constant(node)
-            if suggested is not None:
-                verdict = self.check_constant(default, suggested)
-                if verdict:
-                    rebuilt[node] = TRUE if suggested else FALSE
-                    self.stats.incr("constant_merges")
-                    continue
-            phase, key = signatures.signature_key(node)
-            merged = False
-            candidates = reps.get(key, ())
-            for normalized_rep in candidates[: self.max_candidates]:
-                candidate = normalized_rep ^ int(phase)
-                if candidate == default:
-                    rebuilt[node] = default
-                    merged = True
-                    self.stats.incr("hash_merges")
-                    break
-                verdict = self.check_equal(default, candidate)
-                if verdict:
-                    rebuilt[node] = candidate
-                    merged = True
-                    self.stats.incr("sat_merges")
-                    break
-            if not merged:
-                rebuilt[node] = default
-                reps.setdefault(key, []).append(default ^ int(phase))
-        new_roots = [rebuilt[e >> 1] ^ (e & 1) for e in roots]
-        signatures.thaw()
-        return new_roots, rebuilt
+        return forward_sweep(self, roots)
 
     # ------------------------------------------------------------------ #
     # Backward pairwise merging
@@ -260,6 +203,76 @@ class SatSweeper:
             return b, merge_map
         new_b = aig.rebuild(b, merge_map)
         return new_b, merge_map
+
+
+def forward_sweep(sweeper, roots: list[int]) -> tuple[list[int], dict[int, int]]:
+    """The forward sweeping pass shared by the SAT and circuit-SAT sweepers.
+
+    ``sweeper`` supplies the manager, the signature table and the
+    ``check_constant``/``check_equal`` proofs; candidate classes come from
+    phase-normalized simulation signatures, constant candidates are tried
+    first, and each counterexample a check learns refines later classes.
+    Returns ``(new_roots, rebuilt)`` as :meth:`SatSweeper.sweep`.
+    """
+    aig = sweeper.aig
+    if sweeper.signatures is None:
+        sweeper.signatures = SignatureTable(
+            aig, roots, words=sweeper._sim_words, seed=sweeper._seed
+        )
+    else:
+        sweeper.signatures.refresh_roots(roots)
+    signatures = sweeper.signatures
+    stats = sweeper.stats
+    signatures.freeze()  # keys must stay comparable within this sweep
+    rebuilt: dict[int, int] = {0: FALSE}
+    # Candidate classes over *original* nodes; reps store the
+    # phase-normalized rebuilt edge.
+    reps: dict[int, list[int]] = {}
+    for node in aig.cone(roots):
+        if aig.is_input(node):
+            rebuilt[node] = 2 * node
+            phase, key = signatures.signature_key(node)
+            reps.setdefault(key, []).append(2 * node ^ int(phase))
+            continue
+        f0, f1 = aig.fanins(node)
+        default = aig.and_(
+            rebuilt[f0 >> 1] ^ (f0 & 1),
+            rebuilt[f1 >> 1] ^ (f1 & 1),
+        )
+        if default in (FALSE, TRUE):
+            rebuilt[node] = default
+            stats.incr("constant_folds")
+            continue
+        # Constant candidates first (all-0/all-1 signature).
+        suggested = signatures.is_candidate_constant(node)
+        if suggested is not None:
+            verdict = sweeper.check_constant(default, suggested)
+            if verdict:
+                rebuilt[node] = TRUE if suggested else FALSE
+                stats.incr("constant_merges")
+                continue
+        phase, key = signatures.signature_key(node)
+        merged = False
+        candidates = reps.get(key, ())
+        for normalized_rep in candidates[: sweeper.max_candidates]:
+            candidate = normalized_rep ^ int(phase)
+            if candidate == default:
+                rebuilt[node] = default
+                merged = True
+                stats.incr("hash_merges")
+                break
+            verdict = sweeper.check_equal(default, candidate)
+            if verdict:
+                rebuilt[node] = candidate
+                merged = True
+                stats.incr("sat_merges")
+                break
+        if not merged:
+            rebuilt[node] = default
+            reps.setdefault(key, []).append(default ^ int(phase))
+    new_roots = [rebuilt[e >> 1] ^ (e & 1) for e in roots]
+    signatures.thaw()
+    return new_roots, rebuilt
 
 
 def prove_edges_equivalent(
